@@ -19,6 +19,7 @@ from typing import Dict, Mapping, Optional
 from ..dataplane.config import MonitoringConfig, SwitchResources
 from ..dataplane.switch import SketchGroup
 from ..obs.tracing import NULL_TRACER
+from ..sketches.mrac import distribution_entropy
 from .analysis import LossReport, SwitchId, packet_loss_detection
 from .reconfig import AttentionController, NetworkLevel, ReconfigurationDecision
 from .state import MonitoringSnapshot, build_snapshot
@@ -26,8 +27,6 @@ from .tasks import (
     SwitchView,
     build_views,
     cardinality_estimate,
-    network_cardinality,
-    network_entropy,
     network_flow_size_distribution,
     network_heavy_hitters,
 )
@@ -184,10 +183,10 @@ class CentralController:
                 report.heavy_hitters = network_heavy_hitters(
                     views, self.heavy_hitter_threshold
                 )
-                report.cardinality = network_cardinality(views)
-                report.entropy = network_entropy(
-                    views, iterations=self.distribution_iterations
-                )
+                # Cardinality and entropy read the same views as the snapshot
+                # and the EM above, so their results are reused.
+                report.cardinality = snapshot.total_flows_estimate
+                report.entropy = distribution_entropy(distribution)
         self._epoch_index += 1
         self.history.append(report)
         if self.history_limit is not None and len(self.history) > self.history_limit:

@@ -14,7 +14,7 @@ from typing import Dict, Mapping, Optional
 
 from ..dataplane.config import MonitoringConfig
 from .analysis import LossReport, SwitchId
-from .tasks import SwitchView, network_flow_size, network_flow_size_distribution
+from .tasks import SwitchView, network_flow_size
 
 
 @dataclass
@@ -96,7 +96,7 @@ def build_snapshot(
     views: Mapping[SwitchId, SwitchView],
     config: MonitoringConfig,
     per_switch_flows: Mapping[SwitchId, float],
-    flow_size_distribution: Optional[Dict[int, float]] = None,
+    flow_size_distribution: Dict[int, float],
     num_ingress_switches: Optional[int] = None,
     rng: Optional[random.Random] = None,
 ) -> MonitoringSnapshot:
@@ -105,8 +105,6 @@ def build_snapshot(
     snapshot.num_ingress_switches = num_ingress_switches or max(1, len(views))
     snapshot.per_switch_flows = dict(per_switch_flows)
     snapshot.total_flows_estimate = float(sum(per_switch_flows.values()))
-    if flow_size_distribution is None:
-        flow_size_distribution = network_flow_size_distribution(views)
     snapshot.flow_size_distribution = dict(flow_size_distribution)
 
     snapshot.hh_decode_success = all(

@@ -768,7 +768,7 @@ def _decode_state(simulator):
     for node, switch in sorted(simulator.switches.items()):
         group = switch.end_epoch()
         towers = tuple(
-            tuple(group.classifier.tower.counter_array(level))
+            tuple(group.classifier.tower.counter_array(level).tolist())
             for level in range(len(group.classifier.tower.levels))
         )
         decodes = {}

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 
 def linear_counting_estimate(num_slots: int, num_empty: int) -> float:
     """Estimate distinct keys hashed into ``num_slots`` slots given empty slots.
@@ -32,7 +34,7 @@ def linear_counting_estimate(num_slots: int, num_empty: int) -> float:
 def estimate_cardinality(counters: Sequence[int]) -> float:
     """Linear-counting estimate from raw counters (empty == counter is zero)."""
     num_slots = len(counters)
-    num_empty = sum(1 for value in counters if value == 0)
+    num_empty = num_slots - int(np.count_nonzero(counters))
     return linear_counting_estimate(num_slots, num_empty)
 
 

@@ -7,29 +7,43 @@ counters contributes the distribution of sizes below its saturation value, and
 sizes above it come from the decoded HH Flowset.
 
 The reproduction implements the standard EM formulation on the counter-value
-histogram.  It deliberately keeps the iteration count configurable because the
-paper notes that full MRAC takes seconds and recommends fewer iterations for
-real-time use.
+histogram, with the first-order collision model: a counter of value ``v``
+holds one flow of size ``v``, or two flows of sizes ``s`` and ``v - s``.
+
+*Support invariant.*  The estimate starts on the set ``S`` of the distinct
+observed counter values (non-zero, unsaturated, at most ``max_size``), and
+every E-step term for a size ``s`` carries the factor ``prob[s]``, so the
+estimate never leaves ``S``.  The EM therefore runs on ``S`` alone: once per
+call it lists the ordered pairs ``(i, j, k)`` with ``S[i] + S[j] == S[k]``,
+and each iteration is two ``np.bincount`` passes over them, O(V + pairs)
+instead of O(V·M) over the dense size range ``1..M``.  Here ``V = |S|`` and
+``M`` is the largest counter value.  Over the scoring windows of the four
+repository benchmark workloads, ``M`` reaches 20k-37k on a 16-bit Tower
+level while ``V`` stays at or below 380, so the dense ``V × V`` pair search
+stays small.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, List, Sequence
 
 import numpy as np
 
 
+def _value_counts(counters: Sequence[int], max_value: int | None) -> np.ndarray:
+    """Slots per counter value, indexed by value (zeros and ``>= max_value`` dropped)."""
+    values = np.asarray(counters, dtype=np.int64)
+    keep = values > 0
+    if max_value is not None:
+        keep &= values < max_value
+    return np.bincount(values[keep])
+
+
 def counter_value_histogram(counters: Sequence[int], max_value: int | None = None) -> Dict[int, int]:
     """Histogram of observed counter values (excluding zeros)."""
-    histogram: Counter[int] = Counter()
-    for value in counters:
-        if value <= 0:
-            continue
-        if max_value is not None and value >= max_value:
-            continue
-        histogram[value] += 1
-    return dict(histogram)
+    counts = _value_counts(counters, max_value)
+    values = np.flatnonzero(counts)
+    return dict(zip(values.tolist(), counts[values].tolist()))
 
 
 def estimate_flow_size_distribution(
@@ -52,63 +66,62 @@ def estimate_flow_size_distribution(
     saturation:
         Counter values at or above this are treated as saturated and skipped
         (their contribution comes from the HH Flowset in ChameleMon).
+
+    Every returned size is an observed counter value; keys ascend.
     """
     num_slots = len(counters)
     if num_slots == 0:
         return {}
-    observed = counter_value_histogram(counters, max_value=saturation)
-    if not observed:
+    counts = _value_counts(counters, saturation)
+    sizes = np.flatnonzero(counts)
+    if max_size is not None:
+        sizes = sizes[sizes <= max(1, max_size)]
+    if sizes.size == 0:
         return {}
-    largest = max(observed)
-    if max_size is None:
-        max_size = largest
-    max_size = max(1, min(max_size, largest))
 
     # Initial guess: every counter holds exactly one flow of its value.
-    estimate = np.zeros(max_size + 1, dtype=float)
-    for value, slots in observed.items():
-        if value <= max_size:
-            estimate[value] += slots
+    slots = counts[sizes].astype(float)
+    estimate = slots
 
-    total_flows = estimate.sum()
-    if total_flows == 0:
-        return {}
+    # One-collision splits: ordered pairs (i, j) whose sizes add up to S[k].
+    position = np.full(2 * int(sizes[-1]) + 1, -1)
+    position[sizes] = np.arange(sizes.size)
+    pair_k = position[np.add.outer(sizes, sizes)].ravel()
+    pairs = np.flatnonzero(pair_k >= 0)
+    i, j = np.divmod(pairs, sizes.size)
+    k = pair_k[pairs]
 
-    observed_sizes = sorted(v for v in observed if v <= max_size)
     for _ in range(max(0, iterations)):
-        # E-step: for each observed counter value v, split its slots across
-        # the ways flows could collide to produce v.  A full combinatorial
-        # split is exponential, so we use the standard first-order
-        # approximation: a counter of value v holds either a single flow of
-        # size v or a flow of size s plus colliding traffic of size v - s,
-        # weighted by the collision probability lambda = flows / slots.
-        lam = float(estimate.sum()) / num_slots
+        # E-step: a counter of value v holds one flow of size v (probability
+        # p0 of no collision) or flows of sizes s and v - s, weighted by the
+        # collision probability for lambda = flows / slots.  Splitting each
+        # counter's slots by those weights and summing per size factors into
+        # ``prob * (p0 * ratio + (1 - p0) * sum(ratio[k] * prob[j]))``, where
+        # ``ratio`` is slots over the counter's total weight.
+        total = estimate.sum()
+        lam = float(total) / num_slots
         p_no_collision = np.exp(-lam) if lam < 50 else 0.0
-        new_estimate = np.zeros_like(estimate)
-        probabilities = estimate / estimate.sum()
-        collision_scaled = (1 - p_no_collision) * probabilities
-        for value in observed_sizes:
-            slots = observed[value]
-            # weight of "pure" interpretation
-            weights = np.zeros(max_size + 1, dtype=float)
-            weights[value] = p_no_collision * probabilities[value] if value <= max_size else 0.0
-            # weight of "one collision" interpretations: sizes s and v - s.
-            # Each split s contributes w(s)/2 at s and at value - s, so index
-            # s accumulates w(s)/2 + w(value-s)/2 — computed here as the
-            # mirrored half-weight sum, which is bit-identical to the per-split
-            # loop (halving is exact, addition is commutative, and the
-            # factoring preserves the ((1-p)·prob[s])·prob[value-s] order).
-            half = 0.5 * (collision_scaled[1:value] * probabilities[value - 1 : 0 : -1])
-            weights[1:value] += half + half[::-1]
-            weight_sum = weights.sum()
-            if weight_sum <= 0:
-                new_estimate[min(value, max_size)] += slots
-                continue
-            new_estimate += slots * weights / weight_sum
+        probabilities = estimate / total
+        collided = np.bincount(
+            k, weights=probabilities[i] * probabilities[j], minlength=sizes.size
+        )
+        weight_sum = p_no_collision * probabilities + (1 - p_no_collision) * collided
+        usable = weight_sum > 0
+        ratio = np.divide(slots, weight_sum, out=np.zeros_like(slots), where=usable)
+        shared = np.bincount(i, weights=ratio[k] * probabilities[j], minlength=sizes.size)
+        new_estimate = probabilities * (
+            p_no_collision * ratio + (1 - p_no_collision) * shared
+        )
+        # A value no interpretation can explain keeps its slots as-is.
+        new_estimate[~usable] += slots[~usable]
         if new_estimate.sum() > 0:
             estimate = new_estimate
 
-    return {size: float(estimate[size]) for size in range(1, max_size + 1) if estimate[size] > 1e-9}
+    return {
+        size: count
+        for size, count in zip(sizes.tolist(), estimate.tolist())
+        if count > 1e-9
+    }
 
 
 def merge_distributions(parts: List[Dict[int, float]]) -> Dict[int, float]:

@@ -165,11 +165,11 @@ class TowerSketch(FrequencySketch):
     # ------------------------------------------------------------------ #
     # control-plane views
     # ------------------------------------------------------------------ #
-    def counter_array(self, level_index: int) -> List[int]:
-        """Raw counters of one level (used by linear counting / MRAC)."""
-        return self._counters[level_index].tolist()
+    def counter_array(self, level_index: int) -> np.ndarray:
+        """A copy of one level's raw counters (used by linear counting / MRAC)."""
+        return self._counters[level_index].astype(np.int64)
 
-    def widest_array(self) -> List[int]:
+    def widest_array(self) -> np.ndarray:
         """Counters of the level with the most counters (for linear counting).
 
         The paper applies linear counting to the array with the most counters,

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.dataplane.config import SwitchResources
@@ -180,8 +181,10 @@ class TestSimulator:
         for node in scalar.switches:
             group_a = scalar.switches[node].end_epoch()
             group_b = batched.switches[node].end_epoch()
-            assert group_a.classifier.tower.counter_array(0) == \
-                group_b.classifier.tower.counter_array(0)
+            assert np.array_equal(
+                group_a.classifier.tower.counter_array(0),
+                group_b.classifier.tower.counter_array(0),
+            )
             for name in ("hh", "hl", "ll"):
                 part_a = group_a.upstream.parts.part(name)
                 part_b = group_b.upstream.parts.part(name)

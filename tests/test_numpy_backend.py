@@ -84,7 +84,7 @@ class TestSketchBatchEquivalence:
             scalar.insert(flow_id, size)
         batched.insert_batch(ids, sizes)
         for level in range(2):
-            assert scalar.counter_array(level) == batched.counter_array(level)
+            assert np.array_equal(scalar.counter_array(level), batched.counter_array(level))
         queries = ids[:50] + [999999999]
         assert batched.query_batch(queries).tolist() == [
             scalar.query(f) for f in queries
@@ -161,7 +161,9 @@ class TestSketchBatchEquivalence:
             scalar.insert(flow_id, size)
         batched.insert_batch(ids, sizes)
         for level in range(2):
-            assert scalar.tower.counter_array(level) == batched.tower.counter_array(level)
+            assert np.array_equal(
+                scalar.tower.counter_array(level), batched.tower.counter_array(level)
+            )
         assert scalar.flowset() == batched.flowset()
         for flow_id in ids[:50]:
             assert scalar.query(flow_id) == batched.query(flow_id)
@@ -187,7 +189,9 @@ class TestClassifierBatch:
         got = batched.classify_flows_batch(ids, sizes, config)
         assert got == expected
         for level in range(len(resources.classifier_levels)):
-            assert scalar.tower.counter_array(level) == batched.tower.counter_array(level)
+            assert np.array_equal(
+                scalar.tower.counter_array(level), batched.tower.counter_array(level)
+            )
 
 
 class TestClassifierSaturationAndGenericPaths:
@@ -224,7 +228,9 @@ class TestClassifierSaturationAndGenericPaths:
         got = batched.classify_flows_batch(ids, sizes, config)
         assert got == expected
         for level in range(len(levels)):
-            assert scalar.tower.counter_array(level) == batched.tower.counter_array(level)
+            assert np.array_equal(
+                scalar.tower.counter_array(level), batched.tower.counter_array(level)
+            )
 
 
 class TestHypergeometricLosses:
