@@ -16,27 +16,23 @@ and ``--csv -`` stream the machine-readable result to stdout *as sweep points
 complete* (flushed row by row, so long sweeps are tail-able); the full JSON
 stream still parses as one document.
 
-``stream`` runs the continuous :mod:`repro.stream` engine — phase-scheduled
+``serve`` runs the continuous :mod:`repro.stream` engine as an always-on
+telemetry service (:mod:`repro.service`) in O(epoch) memory: phase-scheduled
 synthetic traffic or a trace-file replay, live link failures/recoveries and
-flow bursts, per-epoch JSONL/CSV sinks — in O(epoch) memory::
+flow bursts, per-epoch JSONL/CSV sinks::
 
-    python -m repro.cli stream --phases 400:0.05:6,1600:0.2:6 --jsonl run.jsonl
-    python -m repro.cli stream --trace traffic.jsonl --csv - --quiet
-    python -m repro.cli stream --fail-epoch 4 --recover-epoch 8
+    python -m repro.cli serve --phases 400:0.05:6,1600:0.2:6 --jsonl run.jsonl
+    python -m repro.cli serve --trace traffic.jsonl --csv - --quiet
+    python -m repro.cli serve --fail-epoch 4 --recover-epoch 8
 
-``serve`` promotes the stream to an always-on telemetry service
-(:mod:`repro.service`): periodic ``.rtck`` checkpoints with bit-identical
-``--resume``, threshold alerting, JSONL device state-diff ingestion, and
-graceful SIGINT/SIGTERM shutdown::
+On top of the stream it offers periodic ``.rtck`` checkpoints with
+bit-identical ``--resume``, threshold alerting, JSONL device state-diff
+ingestion, and graceful SIGINT/SIGTERM shutdown::
 
     python -m repro.cli serve --epochs 32 --checkpoint run.rtck \
         --state-diffs churn.jsonl --alert-f1-floor 0.9 --jsonl run.jsonl
     python -m repro.cli serve --epochs 32 --checkpoint run.rtck --resume ...
     python -m repro.cli serve --checkpoint run.rtck --inspect
-
-The historical per-figure sub-commands (``fig4``, ``fig7`` … ``demo``) remain
-as aliases that map their legacy flags onto scenario overrides and route
-through the same registry.
 """
 
 from __future__ import annotations
@@ -50,7 +46,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from .scenarios import SweepRunner, get_scenario, iter_scenarios
 from .scenarios.results import RunResult, SweepResult, _jsonable, row_columns
-from .scenarios.spec import Scenario, ScenarioError
+from .scenarios.spec import ScenarioError
 
 
 def _print_table(title: str, headers: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
@@ -174,18 +170,17 @@ def _emit(result: SweepResult, args: argparse.Namespace) -> None:
     """Write/print a sweep result according to --json/--csv/--quiet.
 
     Stdout streams (``--json -`` / ``--csv -``) were already written row by
-    row while the sweep ran (see ``_run_and_emit``); only files and the
+    row while the sweep ran (see ``cmd_run``); only files and the
     human-readable table are handled here.
     """
-    json_out = getattr(args, "json_out", None)
-    csv_out = getattr(args, "csv_out", None)
+    json_out, csv_out = args.json_out, args.csv_out
     if json_out and json_out != "-":
         result.to_json(path=json_out)
         print(f"wrote {json_out}", file=sys.stderr)
     if csv_out and csv_out != "-":
         result.to_csv(path=csv_out)
         print(f"wrote {csv_out}", file=sys.stderr)
-    if json_out == "-" or csv_out == "-" or getattr(args, "quiet", False):
+    if json_out == "-" or csv_out == "-" or args.quiet:
         return
     spec = get_scenario(result.scenario)
     _print_rows(f"{result.scenario}: {spec.title}", result.rows())
@@ -209,62 +204,6 @@ def _parse_overrides(pairs: Iterable[str]) -> Dict[str, str]:
     return overrides
 
 
-def _wants_table(args: argparse.Namespace) -> bool:
-    """Human-readable output is suppressed when stdout carries JSON or CSV."""
-    return (
-        getattr(args, "json_out", None) != "-"
-        and getattr(args, "csv_out", None) != "-"
-    )
-
-
-def _run_and_emit(
-    args: argparse.Namespace, name: str, overrides: Dict[str, Any]
-) -> int:
-    """Shared execution path of ``run`` and every legacy alias."""
-    if getattr(args, "json_out", None) == "-" and getattr(args, "csv_out", None) == "-":
-        print("error: --json - and --csv - cannot share stdout; write one "
-              "of them to a file", file=sys.stderr)
-        return 2
-    try:
-        spec = get_scenario(name)
-    except KeyError as error:
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
-    try:
-        # The global --scale / --loss-rate / --shards knobs apply wherever the
-        # scenario has the matching parameter; explicit --set overrides win.
-        for knob in ("scale", "loss_rate", "shards"):
-            value = getattr(args, knob, None)
-            if value is not None and knob in spec.params and knob not in overrides:
-                overrides[knob] = value
-        jobs = getattr(args, "jobs", 1) or 1
-        seed = getattr(args, "seed", None)
-        # Stdout streams emit rows as each sweep point completes; files and
-        # tables still come from the collected SweepResult afterwards.
-        streamer = None
-        if getattr(args, "json_out", None) == "-":
-            streamer = _JsonRowStream(
-                spec.name, spec.merged_params(overrides), spec.point_seed(seed, 0), jobs
-            )
-        elif getattr(args, "csv_out", None) == "-":
-            streamer = _CsvRowStream()
-        with SweepRunner(jobs=jobs) as runner:
-            result = runner.run(
-                spec,
-                overrides=overrides,
-                seed=seed,
-                point_callback=streamer.point if streamer else None,
-            )
-        if streamer is not None:
-            streamer.close(result.wall_seconds)
-    except ScenarioError as error:
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
-    args._result = result
-    _emit(result, args)
-    return 0
-
-
 # --------------------------------------------------------------------------- #
 # registry-facing commands
 # --------------------------------------------------------------------------- #
@@ -273,9 +212,6 @@ def cmd_list(_args: argparse.Namespace) -> int:
     for spec in iter_scenarios():
         axis = f"sweep: {spec.axis}" if spec.axis else "single point"
         print(f"  {spec.name:<20} {spec.title}  [{axis}]")
-    print("\nlegacy aliases (thin shims over the registry):")
-    for alias in sorted(LEGACY_ALIASES):
-        print(f"  {alias:<20} -> run {alias}")
     print("\nusage: run <scenario> [--set key=value ...] [--jobs N] [--json out.json]")
     return 0
 
@@ -302,16 +238,51 @@ def cmd_describe(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.json_out == "-" and args.csv_out == "-":
+        print("error: --json - and --csv - cannot share stdout; write one "
+              "of them to a file", file=sys.stderr)
+        return 2
+    try:
+        spec = get_scenario(args.scenario)
+    except KeyError as error:
+        print(f"error: {error.args[0]}", file=sys.stderr)
+        return 2
     try:
         overrides: Dict[str, Any] = _parse_overrides(args.overrides)
+        # The global --scale / --loss-rate / --shards knobs apply wherever the
+        # scenario has the matching parameter; explicit --set overrides win.
+        for knob in ("scale", "loss_rate", "shards"):
+            value = getattr(args, knob)
+            if value is not None and knob in spec.params and knob not in overrides:
+                overrides[knob] = value
+        jobs = args.jobs or 1
+        # Stdout streams emit rows as each sweep point completes; files and
+        # tables still come from the collected SweepResult afterwards.
+        streamer = None
+        if args.json_out == "-":
+            streamer = _JsonRowStream(
+                spec.name, spec.merged_params(overrides), spec.point_seed(args.seed, 0), jobs
+            )
+        elif args.csv_out == "-":
+            streamer = _CsvRowStream()
+        with SweepRunner(jobs=jobs) as runner:
+            result = runner.run(
+                spec,
+                overrides=overrides,
+                seed=args.seed,
+                point_callback=streamer.point if streamer else None,
+            )
+        if streamer is not None:
+            streamer.close(result.wall_seconds)
     except ScenarioError as error:
         print(f"error: {error.args[0]}", file=sys.stderr)
         return 2
-    return _run_and_emit(args, args.scenario, overrides)
+    _emit(result, args)
+    return 0
 
 
 # --------------------------------------------------------------------------- #
-# continuous streaming
+# always-on service
 # --------------------------------------------------------------------------- #
 def _parse_phases(text: str):
     """Parse ``flows:victim_ratio:epochs[,...]`` into stream phases."""
@@ -337,8 +308,8 @@ def _parse_phases(text: str):
     return phases
 
 
-def _build_stream_source(args: argparse.Namespace, seed: int, loss_rate):
-    """The trace source the ``stream``/``serve`` flags describe (shared)."""
+def _build_stream_source(args: argparse.Namespace, seed: int):
+    """The trace source the ``serve`` flags describe."""
     from .stream import Phase, SyntheticSource, TraceFileSource
 
     if args.trace:
@@ -354,7 +325,7 @@ def _build_stream_source(args: argparse.Namespace, seed: int, loss_rate):
             epochs=phase.epochs,
             num_flows=phase.num_flows,
             victim_ratio=phase.victim_ratio,
-            loss_rate=loss_rate if loss_rate is not None else 0.05,
+            loss_rate=args.loss_rate if args.loss_rate is not None else 0.05,
             workload=args.workload,
         )
         for phase in _parse_phases(phase_text)
@@ -362,66 +333,16 @@ def _build_stream_source(args: argparse.Namespace, seed: int, loss_rate):
     return SyntheticSource(phases=phases, seed=seed)
 
 
-def _build_observability(args: argparse.Namespace):
-    """``(tracer, metrics, span_sink)`` from the shared obs flags.
-
-    ``--spans PATH`` turns on stage tracing and streams span JSONL to
-    ``PATH`` (input for ``repro.cli perf report``); ``--metrics PATH`` (and
-    ``serve --metrics-port``) attach a metrics registry to the engine.
-    """
-    from .obs import JsonlSpanSink, MetricsRegistry, StageTracer
-
-    tracer = span_sink = None
-    if getattr(args, "spans_out", None):
-        tracer = StageTracer()
-        span_sink = JsonlSpanSink(args.spans_out)
-    metrics = None
-    if getattr(args, "metrics_out", None) or getattr(args, "metrics_port", None) is not None:
-        metrics = MetricsRegistry()
-    return tracer, metrics, span_sink
-
-
-def _write_metrics_snapshot(args: argparse.Namespace, metrics) -> None:
-    if metrics is not None and getattr(args, "metrics_out", None):
-        from .obs import write_snapshot
-
-        write_snapshot(args.metrics_out, metrics)
-
-
-def cmd_stream(args: argparse.Namespace) -> int:
-    """Run the continuous streaming engine from the command line."""
-    from .dataplane.config import SwitchResources
+def _build_flag_events(args: argparse.Namespace) -> list:
+    """The link failure/recovery and flow-burst events the ``serve`` flags describe."""
     from .network.topology import FatTreeTopology
-    from .stream import (
-        ConsoleSink,
-        CsvSink,
-        FlowBurstEvent,
-        JsonlSink,
-        LinkFailureEvent,
-        LinkRecoveryEvent,
-        StreamingEngine,
-    )
-
-    if args.jsonl_out == "-" and args.csv_out == "-":
-        print("error: --jsonl - and --csv - cannot share stdout; write one "
-              "of them to a file", file=sys.stderr)
-        return 2
-    seed = args.seed if getattr(args, "seed", None) is not None else 0
-    scale = getattr(args, "scale", None)
-    loss_rate = getattr(args, "loss_rate", None)
-    try:
-        source = _build_stream_source(args, seed, loss_rate)
-    except (ScenarioError, ValueError, KeyError) as error:
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
+    from .stream import FlowBurstEvent, LinkFailureEvent, LinkRecoveryEvent
 
     events = []
     if args.fail_epoch is not None or args.recover_epoch is not None:
         topology = FatTreeTopology.testbed()
         if not 0 <= args.fail_host < topology.num_hosts:
-            print(f"error: --fail-host must be in [0, {topology.num_hosts})",
-                  file=sys.stderr)
-            return 2
+            raise ScenarioError(f"--fail-host must be in [0, {topology.num_hosts})")
         edge = topology.edge_switch_of_host(args.fail_host)
         host = topology.host(args.fail_host)
         if args.fail_epoch is not None:
@@ -447,46 +368,28 @@ def cmd_stream(args: argparse.Namespace) -> int:
                 duration=args.burst_duration,
             )
         )
-
-    sinks = []
-    if args.jsonl_out:
-        sinks.append(JsonlSink(args.jsonl_out))
-    if args.csv_out:
-        sinks.append(CsvSink(args.csv_out))
-    stdout_taken = args.jsonl_out == "-" or args.csv_out == "-"
-    if not args.quiet and not stdout_taken:
-        sinks.append(ConsoleSink())
-
-    tracer, metrics, span_sink = _build_observability(args)
-    engine = StreamingEngine(
-        source,
-        events=events,
-        sinks=sinks,
-        resources=SwitchResources.scaled(scale if scale is not None else 0.05),
-        seed=seed,
-        pipelined=not args.serial,
-        rolling_window=args.rolling_window,
-        shards=args.shards,
-        tracer=tracer,
-        metrics=metrics,
-        span_sink=span_sink,
-    )
-    summary = engine.run(max_epochs=args.epochs)
-    _write_metrics_snapshot(args, metrics)
-    stream = sys.stderr if stdout_taken or args.quiet else sys.stdout
-    print(
-        f"[stream] {summary.epochs} epochs, {summary.packets} packets in "
-        f"{summary.wall_seconds:.2f}s ({summary.epochs_per_second:.2f} epochs/s, "
-        f"{summary.packets_per_second:,.0f} pkt/s), peak resident "
-        f"{summary.peak_resident_flows} flows, mean F1 {summary.mean_f1:.3f}",
-        file=stream,
-    )
-    return 0
+    return events
 
 
-# --------------------------------------------------------------------------- #
-# always-on service
-# --------------------------------------------------------------------------- #
+def _build_observability(args: argparse.Namespace):
+    """``(tracer, metrics, span_sink)`` from the obs flags.
+
+    ``--spans PATH`` turns on stage tracing and streams span JSONL to
+    ``PATH`` (input for ``repro.cli perf report``); ``--metrics PATH`` and
+    ``--metrics-port`` attach a metrics registry to the engine.
+    """
+    from .obs import JsonlSpanSink, MetricsRegistry, StageTracer
+
+    tracer = span_sink = None
+    if args.spans_out:
+        tracer = StageTracer()
+        span_sink = JsonlSpanSink(args.spans_out)
+    metrics = None
+    if args.metrics_out or args.metrics_port is not None:
+        metrics = MetricsRegistry()
+    return tracer, metrics, span_sink
+
+
 def _build_alert_engine(args: argparse.Namespace):
     """The alert engine the ``serve`` flags describe (None when no rules)."""
     from .service import (
@@ -525,7 +428,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         CheckpointError,
         NetworkStateError,
         TelemetryService,
-        compile_state_diffs,
+        compile_state_diff,
         inspect_checkpoint,
         read_state_diffs,
     )
@@ -548,13 +451,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint:
         print("error: --resume needs --checkpoint PATH", file=sys.stderr)
         return 2
-    seed = args.seed if getattr(args, "seed", None) is not None else 0
-    scale = getattr(args, "scale", None)
-    loss_rate = getattr(args, "loss_rate", None)
+    seed = args.seed if args.seed is not None else 0
 
     chaos = None
     tracer, metrics, span_sink = _build_observability(args)
-    if getattr(args, "chaos_spec", None):
+    if args.chaos_spec:
         from .chaos import ChaosSpecError, FaultInjector
 
         try:
@@ -566,8 +467,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             chaos.monitor.bind(metrics)
 
     try:
-        source = _build_stream_source(args, seed, loss_rate)
-        events = ()
+        source = _build_stream_source(args, seed)
+        events = []
         if args.state_diffs:
             if chaos is not None:
                 # Chaos runs read the feed leniently: corrupted lines are
@@ -590,7 +491,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 )
             else:
                 diffs = read_state_diffs(args.state_diffs)
-            events = compile_state_diffs(diffs)
+            events = [compile_state_diff(diff) for diff in diffs]
+        events += _build_flag_events(args)
     except (ScenarioError, NetworkStateError, ValueError, KeyError, OSError) as error:
         print(f"error: {error.args[0]}", file=sys.stderr)
         return 2
@@ -608,9 +510,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         source,
         events=events,
         sinks=sinks,
-        resources=SwitchResources.scaled(scale if scale is not None else 0.05),
+        resources=SwitchResources.scaled(args.scale if args.scale is not None else 0.05),
         seed=seed,
-        pipelined=not args.serial,
         rolling_window=args.rolling_window,
         shards=args.shards,
         tracer=tracer,
@@ -636,7 +537,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except CheckpointError as error:
         print(f"error: {error.args[0]}", file=sys.stderr)
         return 2
-    _write_metrics_snapshot(args, metrics)
+    if metrics is not None and args.metrics_out:
+        from .obs import write_snapshot
+
+        write_snapshot(args.metrics_out, metrics)
     stream = sys.stderr if stdout_taken or args.quiet else sys.stdout
     if chaos is not None:
         snapshot = chaos.monitor.snapshot()
@@ -650,8 +554,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     checkpoint_note = f", checkpoint {args.checkpoint}" if args.checkpoint else ""
     print(
         f"[serve] {summary.epochs} epochs, {summary.packets} packets in "
-        f"{summary.wall_seconds:.2f}s ({summary.epochs_per_second:.2f} epochs/s), "
-        f"mean F1 {summary.mean_f1:.3f}{checkpoint_note}",
+        f"{summary.wall_seconds:.2f}s ({summary.epochs_per_second:.2f} epochs/s, "
+        f"{summary.packets_per_second:,.0f} pkt/s), peak resident "
+        f"{summary.peak_resident_flows} flows, mean F1 {summary.mean_f1:.3f}"
+        f"{checkpoint_note}",
         file=stream,
     )
     return 0
@@ -671,7 +577,7 @@ def cmd_perf_report(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     if not spans:
-        print(f"error: '{args.spans}' holds no spans; run stream/serve with "
+        print(f"error: '{args.spans}' holds no spans; run serve with "
               f"--spans to produce one", file=sys.stderr)
         return 2
     nodes = aggregate_spans(spans)
@@ -692,220 +598,6 @@ def cmd_perf_report(args: argparse.Namespace) -> int:
         print(f"[perf] {len(spans)} spans over {epochs} epochs from {args.spans}")
         print(render_report(nodes))
     return 0
-
-
-# --------------------------------------------------------------------------- #
-# legacy aliases
-# --------------------------------------------------------------------------- #
-#: Historical sub-commands kept as shims; each maps its flags onto overrides
-#: for the same-named scenario in its cmd_* handler.
-LEGACY_ALIASES = ("fig4", "fig7", "fig8", "fig9", "fig11", "overheads", "demo")
-
-
-def _legacy_overrides(
-    args: argparse.Namespace, spec: Scenario, mapping: Dict[str, str]
-) -> Dict[str, Any]:
-    """Map explicitly-passed legacy flags onto scenario parameters."""
-    overrides: Dict[str, Any] = {}
-    for attribute, parameter in mapping.items():
-        if hasattr(args, attribute) and parameter in spec.params:
-            value = getattr(args, attribute)
-            if isinstance(value, list):
-                value = tuple(value)
-            overrides[parameter] = value
-    return overrides
-
-
-_LOSS_TABLE_HEADERS = [
-    "fermat KB", "lossradar KB", "flowradar KB", "fermat ms", "lossradar ms", "flowradar ms",
-]
-
-
-def _legacy_loss_cells(row: Dict[str, Any]) -> List[str]:
-    return [
-        f"{row['fermat_bytes'] / 1000:.1f}",
-        f"{row['lossradar_bytes'] / 1000:.1f}",
-        f"{row['flowradar_bytes'] / 1000:.1f}",
-        f"{row['fermat_ms']:.2f}",
-        f"{row['lossradar_ms']:.2f}",
-        f"{row['flowradar_ms']:.2f}",
-    ]
-
-
-def cmd_fig4(args: argparse.Namespace) -> int:
-    spec = get_scenario("fig4")
-    overrides = _legacy_overrides(
-        args, spec,
-        {"flows": "flows", "victims": "victims", "trials": "trials", "loss_rate": "loss_rate"},
-    )
-    args.quiet = True
-    status = _run_and_emit(args, "fig4", overrides)
-    if status == 0 and _wants_table(args):
-        result = args._result
-        _print_table(
-            f"Loss detection overhead ({result.params['flows']} flows, "
-            f"loss rate {result.params['loss_rate']})",
-            ["victims"] + _LOSS_TABLE_HEADERS,
-            [[row["victims"]] + _legacy_loss_cells(row) for row in result.rows()],
-        )
-    return status
-
-
-_ATTENTION_HEADERS = ["state", "HHE", "HLE", "LLE", "T_h", "T_l", "sample", "load", "loss F1"]
-
-
-def _attention_cells(row: Dict[str, Any]) -> List[str]:
-    return [
-        row["level"],
-        f"{row['mem_hh']:.2f}",
-        f"{row['mem_hl']:.2f}",
-        f"{row['mem_ll']:.2f}",
-        str(row["threshold_high"]),
-        str(row["threshold_low"]),
-        f"{row['sample_rate']:.2f}",
-        f"{row['load_factor']:.2f}",
-        f"{row['loss_f1']:.2f}",
-    ]
-
-
-def cmd_fig7(args: argparse.Namespace) -> int:
-    spec = get_scenario("fig7")
-    overrides = _legacy_overrides(
-        args, spec,
-        {"workload": "workload", "flows": "flows", "victim_ratio": "victim_ratio",
-         "loss_rate": "loss_rate", "max_epochs": "max_epochs"},
-    )
-    args.quiet = True
-    status = _run_and_emit(args, "fig7", overrides)
-    if status == 0 and _wants_table(args):
-        result = args._result
-        _print_table(
-            f"Attention vs. # flows ({result.params['workload']})",
-            ["flows"] + _ATTENTION_HEADERS,
-            [[row["flows"]] + _attention_cells(row) for row in result.rows()],
-        )
-    return status
-
-
-def cmd_fig8(args: argparse.Namespace) -> int:
-    spec = get_scenario("fig8")
-    overrides = _legacy_overrides(
-        args, spec,
-        {"workload": "workload", "flows": "flows", "ratios": "victim_ratio",
-         "loss_rate": "loss_rate", "max_epochs": "max_epochs"},
-    )
-    args.quiet = True
-    status = _run_and_emit(args, "fig8", overrides)
-    if status == 0 and _wants_table(args):
-        result = args._result
-        _print_table(
-            f"Attention vs. victim ratio ({result.params['workload']}, "
-            f"{result.params['flows']} flows)",
-            ["victims"] + _ATTENTION_HEADERS,
-            [[f"{row['victim_ratio']:.1%}"] + _attention_cells(row) for row in result.rows()],
-        )
-    return status
-
-
-def cmd_fig9(args: argparse.Namespace) -> int:
-    spec = get_scenario("fig9")
-    overrides = _legacy_overrides(
-        args, spec,
-        {"workload": "workload", "epochs_per_stage": "epochs_per_stage",
-         "loss_rate": "loss_rate"},
-    )
-    if hasattr(args, "flows") or hasattr(args, "ratios"):
-        if not (hasattr(args, "flows") and hasattr(args, "ratios")):
-            print("error: fig9 needs --flows and --ratios together (one "
-                  "schedule stage per pair)", file=sys.stderr)
-            return 2
-        if len(args.flows) != len(args.ratios):
-            print(f"error: fig9 got {len(args.flows)} --flows values but "
-                  f"{len(args.ratios)} --ratios values", file=sys.stderr)
-            return 2
-        overrides["schedule"] = tuple(zip(args.flows, args.ratios))
-    args.quiet = True
-    status = _run_and_emit(args, "fig9", overrides)
-    if status == 0 and _wants_table(args):
-        result = args._result
-        _print_table(
-            f"Attention timeline ({result.params['workload']})",
-            ["epoch", "flows", "victims", "state", "HHE", "HLE", "LLE", "T_h", "T_l", "sample"],
-            [
-                [row["epoch"], row["flows"], f"{row['victim_ratio']:.0%}", row["level"],
-                 f"{row['mem_hh']:.2f}", f"{row['mem_hl']:.2f}", f"{row['mem_ll']:.2f}",
-                 row["threshold_high"], row["threshold_low"], f"{row['sample_rate']:.2f}"]
-                for row in result.rows()
-            ],
-        )
-        print("epochs to shift per state change:", result.extras().get("shift_epochs"))
-    return status
-
-
-def cmd_fig11(args: argparse.Namespace) -> int:
-    spec = get_scenario("fig11")
-    overrides = _legacy_overrides(
-        args, spec, {"flows": "flows", "memory_kb": "memory_kb"}
-    )
-    args.quiet = True
-    status = _run_and_emit(args, "fig11", overrides)
-    if status == 0 and _wants_table(args):
-        result = args._result
-        for point in result.points:
-            metrics: Dict[str, List] = {}
-            for row in point.rows:
-                metrics.setdefault(row["metric"], []).append(row)
-            for metric, rows in metrics.items():
-                _print_table(
-                    f"{metric} at {point.params['memory_kb']} KB",
-                    ["algorithm", "value"],
-                    [[row["algorithm"], f"{row['value']:.4f}"] for row in rows],
-                )
-    return status
-
-
-def cmd_overheads(args: argparse.Namespace) -> int:
-    overrides: Dict[str, Any] = {"include_live": False}
-    if hasattr(args, "epochs_ms"):
-        overrides["epochs_ms"] = tuple(args.epochs_ms)
-    args.quiet = True
-    status = _run_and_emit(args, "overheads", overrides)
-    if status == 0 and _wants_table(args):
-        result = args._result
-        rows = result.rows()
-        _print_table(
-            "Collection bandwidth vs. epoch length",
-            ["epoch ms", "Mbps"],
-            [[row["epoch_ms"], f"{row['mbps']:.1f}"]
-             for row in rows if row.get("kind") == "bandwidth"],
-        )
-        _print_table(
-            "Modelled controller response time",
-            ["flows", "response ms"],
-            [[row["flows"], f"{row['response_ms']:.2f}"]
-             for row in rows if row.get("kind") == "response_model"],
-        )
-    return status
-
-
-def cmd_demo(args: argparse.Namespace) -> int:
-    spec = get_scenario("demo")
-    overrides = _legacy_overrides(
-        args, spec,
-        {"workload": "workload", "epochs": "epochs", "victim_ratio": "victim_ratio",
-         "loss_rate": "loss_rate"},
-    )
-    if hasattr(args, "flows"):
-        overrides["flows"] = args.flows[0] if isinstance(args.flows, list) else args.flows
-    args.quiet = True
-    status = _run_and_emit(args, "demo", overrides)
-    if status == 0 and _wants_table(args):
-        for row in args._result.rows():
-            print(
-                f"epoch {row['epoch']}: {row['level']:<8} {row['config']} "
-                f"loss F1 {row['loss_f1']:.2f}"
-            )
-    return status
 
 
 def cmd_trace_convert(args: argparse.Namespace) -> int:
@@ -1013,47 +705,42 @@ def cmd_trace_inspect(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------- #
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
-    # The global knobs are declared once and attached everywhere via a parent
-    # parser: ``repro --seed 1 run fig4`` and ``repro run fig4 --seed 1`` are
-    # equivalent (sub-command values win because the parent copy uses
-    # SUPPRESS defaults).
+    # ``--seed`` and ``--scale`` are accepted before and after the
+    # sub-command: ``repro --seed 1 run fig4`` and ``repro run fig4 --seed 1``
+    # are equivalent (sub-command values win because the sub-command copies
+    # use SUPPRESS defaults).
     parser.add_argument("--seed", type=int, default=None,
                         help="base seed (default: the scenario's own)")
     parser.add_argument("--scale", type=float, default=None,
                         help="switch-resource scale relative to the testbed "
                              "(applied to scenarios that take a 'scale' parameter)")
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--scale", type=float, default=argparse.SUPPRESS)
-    common.add_argument("--loss-rate", type=float, dest="loss_rate",
-                        default=argparse.SUPPRESS,
-                        help="packet-loss rate (applied to scenarios that "
-                             "take a 'loss_rate' parameter)")
-    common.add_argument("--shards", type=int, default=argparse.SUPPRESS,
-                        help="shard the data plane across N worker processes "
-                             "(applied to scenarios that take a 'shards' "
-                             "parameter; bit-identical to serial)")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="run sweep points across N processes")
-    common.add_argument("--json", dest="json_out", metavar="PATH",
-                        help="write the result as JSON ('-' for stdout)")
-    common.add_argument("--csv", dest="csv_out", metavar="PATH",
-                        help="write the rows as CSV ('-' for stdout)")
-
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    sub = subparsers.add_parser("list", help="list registered scenarios and aliases")
+    sub = subparsers.add_parser("list", help="list registered scenarios")
     sub.set_defaults(handler=cmd_list)
 
     sub = subparsers.add_parser("describe", help="show a scenario's parameters")
     sub.add_argument("scenario")
     sub.set_defaults(handler=cmd_describe)
 
-    sub = subparsers.add_parser(
-        "run", parents=[common], help="run any registered scenario"
-    )
+    sub = subparsers.add_parser("run", help="run any registered scenario")
     sub.add_argument("scenario")
+    sub.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    sub.add_argument("--scale", type=float, default=argparse.SUPPRESS)
+    sub.add_argument("--loss-rate", type=float, dest="loss_rate", default=None,
+                     help="packet-loss rate (applied to scenarios that "
+                          "take a 'loss_rate' parameter)")
+    sub.add_argument("--shards", type=int, default=None,
+                     help="shard the data plane across N worker processes "
+                          "(applied to scenarios that take a 'shards' "
+                          "parameter; bit-identical to serial)")
+    sub.add_argument("--jobs", type=int, default=1,
+                     help="run sweep points across N processes")
+    sub.add_argument("--json", dest="json_out", metavar="PATH",
+                     help="write the result as JSON ('-' for stdout)")
+    sub.add_argument("--csv", dest="csv_out", metavar="PATH",
+                     help="write the rows as CSV ('-' for stdout)")
     sub.add_argument("--set", dest="overrides", action="append", default=[],
                      metavar="KEY=VALUE", help="override a scenario parameter "
                      "(lists as comma-separated values); repeatable")
@@ -1061,14 +748,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=cmd_run)
 
     sub = subparsers.add_parser(
-        "stream",
-        help="run the continuous streaming engine (bounded memory, live events)",
+        "serve",
+        help="run the streaming engine as an always-on telemetry service "
+             "(live events, checkpoints, alerts, state-diff ingestion)",
     )
     sub.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     sub.add_argument("--scale", type=float, default=argparse.SUPPRESS,
                      help="switch-resource scale (default 0.05)")
-    sub.add_argument("--loss-rate", type=float, dest="loss_rate",
-                     default=argparse.SUPPRESS,
+    sub.add_argument("--loss-rate", type=float, dest="loss_rate", default=None,
                      help="victim packet-loss rate of the synthetic phases")
     sub.add_argument("--shards", type=int, default=None,
                      help="shard the data plane across N worker processes "
@@ -1083,9 +770,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--flows-per-epoch", type=int, dest="flows_per_epoch",
                      help="epoch chunk size for trace files without an epoch column")
     sub.add_argument("--epochs", type=int, default=None,
-                     help="stop after N epochs even if the source continues")
-    sub.add_argument("--serial", action="store_true",
-                     help="disable the double-buffered pipeline (debugging)")
+                     help="stop at epoch N (absolute: a resumed run continues "
+                          "to the same boundary)")
     sub.add_argument("--rolling-window", type=int, dest="rolling_window", default=8,
                      help="epochs in the rolling F1/ARE window")
     sub.add_argument("--fail-epoch", type=int, dest="fail_epoch", default=None,
@@ -1102,48 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="extra flows per burst epoch")
     sub.add_argument("--burst-duration", type=int, dest="burst_duration", default=1,
                      help="how many epochs the burst lasts")
-    sub.add_argument("--jsonl", dest="jsonl_out", metavar="PATH",
-                     help="append one JSON record per epoch ('-' for stdout)")
-    sub.add_argument("--csv", dest="csv_out", metavar="PATH",
-                     help="append one CSV row per epoch ('-' for stdout)")
-    sub.add_argument("--spans", dest="spans_out", metavar="PATH",
-                     help="trace pipeline stages and append span JSONL here "
-                          "(input for `perf report`)")
-    sub.add_argument("--metrics", dest="metrics_out", metavar="PATH",
-                     help="write a final metrics snapshot (JSONL) here")
-    sub.add_argument("--quiet", action="store_true",
-                     help="suppress the per-epoch console line")
-    sub.set_defaults(handler=cmd_stream)
-
-    sub = subparsers.add_parser(
-        "serve",
-        help="run the always-on telemetry service (checkpoints, alerts, "
-             "state-diff ingestion, graceful shutdown)",
-    )
-    sub.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    sub.add_argument("--scale", type=float, default=argparse.SUPPRESS,
-                     help="switch-resource scale (default 0.05)")
-    sub.add_argument("--loss-rate", type=float, dest="loss_rate",
-                     default=argparse.SUPPRESS,
-                     help="victim packet-loss rate of the synthetic phases")
-    sub.add_argument("--shards", type=int, default=None,
-                     help="shard the data plane across N worker processes")
-    sub.add_argument("--phases", metavar="F:R:E[,...]",
-                     help="phase schedule as flows:victim_ratio:epochs groups "
-                          "(default 400:0.05:6,800:0.15:6,400:0.05:6)")
-    sub.add_argument("--workload", default="DCTCP",
-                     help="flow-size distribution of the synthetic phases")
-    sub.add_argument("--trace", metavar="PATH",
-                     help="replay a JSONL/CSV trace file instead of synthesising")
-    sub.add_argument("--flows-per-epoch", type=int, dest="flows_per_epoch",
-                     help="epoch chunk size for trace files without an epoch column")
-    sub.add_argument("--epochs", type=int, default=None,
-                     help="stop at epoch N (absolute: a resumed run continues "
-                          "to the same boundary)")
-    sub.add_argument("--serial", action="store_true",
-                     help="disable the double-buffered pipeline (debugging)")
-    sub.add_argument("--rolling-window", type=int, dest="rolling_window", default=8,
-                     help="epochs in the rolling F1/ARE window")
     sub.add_argument("--state-diffs", dest="state_diffs", metavar="PATH",
                      help="JSONL device state-diff feed compiled into the "
                           "event schedule (oper-status, loss-rate, ecmp)")
@@ -1199,61 +843,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="suppress the per-epoch console line")
     sub.set_defaults(handler=cmd_serve)
 
-    sub = subparsers.add_parser("fig4", parents=[common],
-                                help="loss-detection overhead vs. number of victim flows")
-    sub.add_argument("--flows", type=int, default=argparse.SUPPRESS)
-    sub.add_argument("--victims", type=int, nargs="+", default=argparse.SUPPRESS)
-    sub.add_argument("--trials", type=int, default=argparse.SUPPRESS)
-    sub.set_defaults(handler=cmd_fig4)
-
-    sub = subparsers.add_parser("fig7", parents=[common],
-                                help="attention vs. number of flows")
-    sub.add_argument("--workload", default=argparse.SUPPRESS)
-    sub.add_argument("--flows", type=int, nargs="+", default=argparse.SUPPRESS)
-    sub.add_argument("--victim-ratio", type=float, dest="victim_ratio",
-                     default=argparse.SUPPRESS)
-    sub.add_argument("--max-epochs", type=int, dest="max_epochs", default=argparse.SUPPRESS)
-    sub.set_defaults(handler=cmd_fig7)
-
-    sub = subparsers.add_parser("fig8", parents=[common],
-                                help="attention vs. victim-flow ratio")
-    sub.add_argument("--workload", default=argparse.SUPPRESS)
-    sub.add_argument("--flows", type=int, default=argparse.SUPPRESS)
-    sub.add_argument("--ratios", type=float, nargs="+", default=argparse.SUPPRESS)
-    sub.add_argument("--max-epochs", type=int, dest="max_epochs", default=argparse.SUPPRESS)
-    sub.set_defaults(handler=cmd_fig8)
-
-    sub = subparsers.add_parser("fig9", parents=[common],
-                                help="attention timeline over changing network state")
-    sub.add_argument("--workload", default=argparse.SUPPRESS)
-    sub.add_argument("--flows", type=int, nargs="+", default=argparse.SUPPRESS)
-    sub.add_argument("--ratios", type=float, nargs="+", default=argparse.SUPPRESS)
-    sub.add_argument("--epochs-per-stage", type=int, dest="epochs_per_stage",
-                     default=argparse.SUPPRESS)
-    sub.set_defaults(handler=cmd_fig9)
-
-    sub = subparsers.add_parser("fig11", parents=[common],
-                                help="the six packet-accumulation tasks")
-    sub.add_argument("--flows", type=int, default=argparse.SUPPRESS)
-    sub.add_argument("--memory-kb", type=int, nargs="+", dest="memory_kb",
-                     default=argparse.SUPPRESS)
-    sub.set_defaults(handler=cmd_fig11)
-
-    sub = subparsers.add_parser("overheads", parents=[common],
-                                help="control-loop bandwidth and response-time model")
-    sub.add_argument("--epochs-ms", type=int, nargs="+", dest="epochs_ms",
-                     default=argparse.SUPPRESS)
-    sub.set_defaults(handler=cmd_overheads)
-
-    sub = subparsers.add_parser("demo", parents=[common],
-                                help="run the full system for a few epochs")
-    sub.add_argument("--workload", default=argparse.SUPPRESS)
-    sub.add_argument("--flows", type=int, nargs="+", default=argparse.SUPPRESS)
-    sub.add_argument("--victim-ratio", type=float, dest="victim_ratio",
-                     default=argparse.SUPPRESS)
-    sub.add_argument("--epochs", type=int, default=argparse.SUPPRESS)
-    sub.set_defaults(handler=cmd_demo)
-
     sub = subparsers.add_parser(
         "trace",
         help="inspect and convert trace files (.rtbin binary, .jsonl, .csv)",
@@ -1288,7 +877,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subparsers.add_parser(
         "perf",
-        help="performance tooling over traced runs (stream/serve --spans)",
+        help="performance tooling over traced runs (serve --spans)",
     )
     perf_sub = sub.add_subparsers(dest="perf_command", required=True)
 
@@ -1296,7 +885,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report",
         help="aggregate a span JSONL into a self/cumulative stage breakdown",
     )
-    report.add_argument("spans", help="span JSONL written by stream/serve --spans")
+    report.add_argument("spans", help="span JSONL written by serve --spans")
     report.add_argument("--json", dest="json_out", metavar="PATH",
                         help="write the breakdown as JSON ('-' for stdout)")
     report.add_argument("--quiet", action="store_true",

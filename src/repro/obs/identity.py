@@ -26,6 +26,13 @@ from typing import Any, Dict, Iterable, List
 #: this list (tracing may never perturb an identity verdict).
 TIMING_FIELDS = ("wall_ms", "decode_ms", "timing")
 
+#: Record fields the service adds only from a later epoch on: the degraded-mode
+#: annotation (:class:`~repro.service.TelemetryService`) appears once decode
+#: failures persist, so a healthy stream stays field-identical to a bare
+#: engine run.  Sinks that fix their columns from the first record (CSV)
+#: reserve these up front.
+LATE_FIELDS = ("degraded", "degraded_streak")
+
 #: Checkpoint ``meta`` keys that are wall-clock snapshot timestamps, not run
 #: specification: excluded when comparing two checkpoints for identity.
 CHECKPOINT_TIMING_KEYS = ("written_at",)

@@ -17,6 +17,8 @@ import sys
 import time
 from typing import Any, Callable, Dict, IO, List, Optional, Sequence
 
+from ..obs.identity import LATE_FIELDS
+
 
 class EpochSink:
     """Base sink: one :meth:`write` per epoch, then one :meth:`close`."""
@@ -139,7 +141,12 @@ class JsonlSink(_FileSink):
 
 
 class CsvSink(_FileSink):
-    """CSV rows per epoch; the header comes from the first record's keys."""
+    """CSV rows per epoch; the header comes from the first record's keys.
+
+    The header also reserves a column for each late field
+    (:data:`repro.obs.identity.LATE_FIELDS`) the first record lacks, so an
+    annotation that appears only in later records is kept, not dropped.
+    """
 
     kind = "csv"
 
@@ -154,7 +161,10 @@ class CsvSink(_FileSink):
             self.fault_hook(record)
         handle = self._ensure_open()
         if self._writer is None:
-            self._fieldnames = self._fieldnames or list(record)
+            if not self._fieldnames:
+                self._fieldnames = list(record) + [
+                    field for field in LATE_FIELDS if field not in record
+                ]
             self._writer = csv.DictWriter(
                 handle, fieldnames=self._fieldnames, restval="", extrasaction="ignore"
             )

@@ -1,10 +1,15 @@
 """Tests for the command-line interface."""
 
+import csv
 import json
 
 import pytest
 
 from repro.cli import build_parser, main
+
+
+COMMANDS = ("list", "describe", "run", "serve", "trace", "perf")
+REMOVED_COMMANDS = ("stream", "fig4", "fig7", "fig8", "fig9", "fig11", "overheads", "demo")
 
 
 class TestParser:
@@ -14,20 +19,29 @@ class TestParser:
 
     def test_every_command_has_help(self):
         parser = build_parser()
-        for command in ("list", "fig4", "fig7", "fig8", "fig9", "fig11", "overheads", "demo"):
-            args = {
-                "list": [command],
-                "overheads": [command],
-            }.get(command, [command, "--seed", "1"])
+        for args in (
+            ["list"],
+            ["describe", "fig4"],
+            ["run", "fig4", "--seed", "1"],
+            ["serve", "--seed", "1"],
+            ["trace", "inspect", "t.rtbin"],
+            ["perf", "report", "spans.jsonl"],
+        ):
             parsed = parser.parse_args(args)
             assert callable(parsed.handler)
 
-    def test_fig4_custom_arguments(self):
-        parsed = build_parser().parse_args(
-            ["fig4", "--flows", "500", "--victims", "50", "100", "--trials", "1"]
-        )
-        assert parsed.flows == 500
-        assert parsed.victims == [50, 100]
+    def test_help_lists_exactly_the_six_commands(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        assert "{" + ",".join(COMMANDS) + "}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", REMOVED_COMMANDS)
+    def test_removed_command_is_an_invalid_choice(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command])
+        assert exit_info.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
 
 class TestExecution:
@@ -37,33 +51,42 @@ class TestExecution:
         assert "fig4" in out and "demo" in out
 
     def test_overheads_runs(self, capsys):
-        assert main(["overheads", "--epochs-ms", "50", "100"]) == 0
+        assert main([
+            "run", "overheads", "--set", "epochs_ms=50,100",
+            "--set", "include_live=false", "--set", "reconfig_samples=30",
+        ]) == 0
         out = capsys.readouterr().out
-        assert "Collection bandwidth" in out
+        assert "[bandwidth] ===" in out and "[response_model] ===" in out
 
     def test_fig4_runs_small(self, capsys):
-        assert main(["fig4", "--flows", "300", "--victims", "40", "--trials", "1"]) == 0
+        assert main([
+            "run", "fig4", "--set", "flows=300", "--set", "victims=40",
+            "--set", "trials=1",
+        ]) == 0
         out = capsys.readouterr().out
-        assert "fermat KB" in out
+        assert "=== fig4: " in out and "fermat_bytes" in out
+        assert "[fig4] 1 point(s)" in out
 
     def test_demo_runs_small(self, capsys):
         assert main([
-            "demo", "--flows", "150", "--epochs", "2", "--scale", "0.05",
-            "--victim-ratio", "0.05",
+            "run", "demo", "--set", "flows=150", "--set", "epochs=2",
+            "--scale", "0.05", "--set", "victim_ratio=0.05", "--json", "-",
         ]) == 0
-        out = capsys.readouterr().out
-        assert "epoch 0" in out and "epoch 1" in out
+        payload = json.loads(capsys.readouterr().out)
+        rows = payload["points"][0]["rows"]
+        assert [row["epoch"] for row in rows] == [0, 1]
+        assert payload["params"]["scale"] == 0.05
 
 
 class TestRegistryCommands:
     """The registry-facing surface: run / list / describe."""
 
-    def test_list_marks_registry_and_aliases(self, capsys):
+    def test_list_shows_registry_without_aliases(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "repro.scenarios registry" in out
-        assert "legacy aliases" in out
-        # Registry-only scenarios appear even though they have no alias.
+        assert "alias" not in out
+        # Every registered scenario appears, not only the paper figures.
         for name in ("fig5", "fig6", "fig10", "workloads", "backend_speedup"):
             assert name in out
 
@@ -148,14 +171,14 @@ class TestRegistryCommands:
         assert out_path in captured.err
         assert json.loads(open(out_path).read())["scenario"] == "fig4"
 
-    def test_legacy_alias_csv_stdout_is_pure(self, capsys):
+    def test_run_csv_stdout_is_pure(self, capsys):
         """--csv - must not interleave the human table into the CSV stream."""
         assert main([
-            "fig4", "--flows", "150", "--victims", "20", "--trials", "1",
-            "--csv", "-",
+            "run", "fig4", "--set", "flows=150", "--set", "victims=20",
+            "--set", "trials=1", "--csv", "-",
         ]) == 0
         out = capsys.readouterr().out
-        assert "===" not in out
+        assert "===" not in out and "[fig4]" not in out
         assert out.splitlines()[0].startswith("victims,")
 
     def test_json_stdout_streams_rows_per_point(self, capsys):
@@ -193,49 +216,61 @@ class TestRegistryCommands:
         assert main(["run", "fig9", "--set", "schedule=150-0.05"]) == 2
         assert "':'-separated" in capsys.readouterr().err
 
-    def test_fig9_flows_without_ratios_fails(self, capsys):
-        assert main(["fig9", "--flows", "150", "300"]) == 2
-        assert "--flows and --ratios together" in capsys.readouterr().err
 
-    def test_fig9_unequal_flows_ratios_fails(self, capsys):
-        assert main(["fig9", "--flows", "150", "300", "--ratios", "0.05"]) == 2
-        assert "--ratios values" in capsys.readouterr().err
+class TestServeCommand:
+    """The continuous streaming engine behind ``repro.cli serve``."""
 
+    @staticmethod
+    def _engine_records(phases, events):
+        """Records of a bare engine run with the CLI's defaults (seed 0, scale 0.05)."""
+        from repro.dataplane.config import SwitchResources
+        from repro.stream import MemorySink, StreamingEngine, SyntheticSource
 
-class TestStreamCommand:
-    """The continuous streaming engine behind ``repro.cli stream``."""
+        sink = MemorySink()
+        engine = StreamingEngine(
+            SyntheticSource(phases=phases, seed=0),
+            events=events,
+            sinks=[sink],
+            resources=SwitchResources.scaled(0.05),
+            seed=0,
+        )
+        engine.run()
+        engine.close()
+        return sink.records
 
-    def test_stream_writes_jsonl_records(self, capsys, tmp_path):
+    def test_serve_writes_jsonl_records(self, capsys, tmp_path):
         path = str(tmp_path / "stream.jsonl")
         assert main([
-            "stream", "--phases", "100:0.05:2,200:0.2:1", "--scale", "0.05",
+            "serve", "--phases", "100:0.05:2,200:0.2:1", "--scale", "0.05",
             "--jsonl", path, "--quiet",
         ]) == 0
         records = [json.loads(line) for line in open(path)]
         assert [r["epoch"] for r in records] == [0, 1, 2]
         assert [r["num_flows"] for r in records] == [100, 100, 200]
-        assert "[stream] 3 epochs" in capsys.readouterr().err
+        assert "[serve] 3 epochs" in capsys.readouterr().err
 
-    def test_stream_console_lines_and_summary(self, capsys):
-        assert main(["stream", "--phases", "80:0.1:2", "--scale", "0.05"]) == 0
+    def test_serve_console_lines_and_summary(self, capsys):
+        assert main(["serve", "--phases", "80:0.1:2", "--scale", "0.05"]) == 0
         out = capsys.readouterr().out
         assert "epoch    0" in out and "epoch    1" in out
-        assert "[stream] 2 epochs" in out
+        summary = next(line for line in out.splitlines() if line.startswith("[serve]"))
+        assert summary.startswith("[serve] 2 epochs")
+        assert "pkt/s" in summary and "peak resident" in summary
 
-    def test_stream_csv_stdout_is_pure(self, capsys):
+    def test_serve_csv_stdout_is_pure(self, capsys):
         assert main([
-            "stream", "--phases", "80:0.1:2", "--scale", "0.05", "--csv", "-",
+            "serve", "--phases", "80:0.1:2", "--scale", "0.05", "--csv", "-",
         ]) == 0
         captured = capsys.readouterr()
         lines = captured.out.splitlines()
         assert lines[0].startswith("epoch,")
         assert len(lines) == 3
-        assert "[stream]" in captured.err
+        assert "[serve]" in captured.err
 
-    def test_stream_epoch_cap_and_failure_flags(self, capsys, tmp_path):
+    def test_serve_epoch_cap_and_failure_flags(self, capsys, tmp_path):
         path = str(tmp_path / "failover.jsonl")
         assert main([
-            "stream", "--phases", "100:0.0:6", "--scale", "0.05",
+            "serve", "--phases", "100:0.0:6", "--scale", "0.05",
             "--fail-epoch", "1", "--recover-epoch", "3", "--fail-loss", "1.0",
             "--epochs", "4", "--jsonl", path, "--quiet",
         ]) == 0
@@ -244,31 +279,107 @@ class TestStreamCommand:
         victims = [r["num_victims"] for r in records]
         assert victims[0] == 0 and victims[1] > 0 and victims[3] == 0
 
-    def test_stream_trace_replay(self, capsys, tmp_path):
+    def test_serve_event_flags_match_engine_run(self, capsys, tmp_path):
+        """The event flags build exactly the events a hand-built engine gets."""
+        from repro.network.topology import FatTreeTopology
+        from repro.obs import comparable_records
+        from repro.stream import (
+            FlowBurstEvent,
+            LinkFailureEvent,
+            LinkRecoveryEvent,
+            Phase,
+        )
+
+        path = str(tmp_path / "events.jsonl")
+        assert main([
+            "serve", "--phases", "100:0.05:2,200:0.1:3", "--scale", "0.05",
+            "--fail-epoch", "1", "--recover-epoch", "3", "--burst-epoch", "2",
+            "--jsonl", path, "--quiet",
+        ]) == 0
+        topology = FatTreeTopology.testbed()
+        edge, host = topology.edge_switch_of_host(0), topology.host(0)
+        expected = self._engine_records(
+            [Phase(epochs=2, num_flows=100, victim_ratio=0.05),
+             Phase(epochs=3, num_flows=200, victim_ratio=0.1)],
+            [LinkFailureEvent(epoch=1, endpoint_a=edge, endpoint_b=host, loss_rate=0.5),
+             LinkRecoveryEvent(epoch=3, endpoint_a=edge, endpoint_b=host),
+             FlowBurstEvent(epoch=2, extra_flows=500, duration=1)],
+        )
+        records = [json.loads(line) for line in open(path)]
+        assert len(records) == 5
+        assert comparable_records(records) == comparable_records(expected)
+
+    def test_serve_event_flags_append_to_state_diffs(self, capsys, tmp_path):
+        from repro.obs import comparable_records
+        from repro.service import (
+            compile_state_diff,
+            synthesize_churn_diffs,
+            write_state_diffs,
+        )
+        from repro.stream import FlowBurstEvent, Phase
+
+        diffs = synthesize_churn_diffs(epochs=6, period=2, gray_loss=0.5)
+        diffs_path = str(tmp_path / "churn.jsonl")
+        write_state_diffs(diffs_path, diffs)
+        path = str(tmp_path / "records.jsonl")
+        assert main([
+            "serve", "--phases", "150:0.05:6", "--scale", "0.05",
+            "--state-diffs", diffs_path, "--burst-epoch", "4",
+            "--burst-flows", "100", "--burst-duration", "2",
+            "--jsonl", path, "--quiet",
+        ]) == 0
+        expected = self._engine_records(
+            [Phase(epochs=6, num_flows=150, victim_ratio=0.05)],
+            [compile_state_diff(diff) for diff in diffs]
+            + [FlowBurstEvent(epoch=4, extra_flows=100, duration=2)],
+        )
+        records = [json.loads(line) for line in open(path)]
+        assert comparable_records(records) == comparable_records(expected)
+        assert records[4]["num_flows"] == records[5]["num_flows"] == 250
+
+    def test_serve_csv_keeps_degraded_annotation(self, capsys, tmp_path):
+        """Degraded-mode fields appear from a later epoch on; the CSV keeps them."""
+        jsonl_path = str(tmp_path / "o.jsonl")
+        csv_path = str(tmp_path / "o.csv")
+        assert main([
+            "serve", "--phases", "4000:0.1:6", "--scale", "0.05",
+            "--jsonl", jsonl_path, "--csv", csv_path, "--quiet",
+        ]) == 0
+        records = [json.loads(line) for line in open(jsonl_path)]
+        rows = list(csv.DictReader(open(csv_path)))
+        assert len(rows) == len(records) == 6
+        assert any(record.get("degraded") for record in records)
+        assert not records[0].get("degraded")
+        for record, row in zip(records, rows):
+            for field in ("degraded", "degraded_streak"):
+                expected = str(record[field]) if field in record else ""
+                assert row[field] == expected
+
+    def test_serve_trace_replay(self, capsys, tmp_path):
         from repro.stream import SyntheticSource, write_trace_file
 
         trace_path = str(tmp_path / "replay.jsonl")
         write_trace_file(trace_path, SyntheticSource.steady(60, 2, seed=3))
         assert main([
-            "stream", "--trace", trace_path, "--scale", "0.05", "--quiet",
+            "serve", "--trace", trace_path, "--scale", "0.05", "--quiet",
         ]) == 0
-        assert "[stream] 2 epochs" in capsys.readouterr().err
+        assert "[serve] 2 epochs" in capsys.readouterr().err
 
-    def test_stream_rejects_double_stdout(self, capsys):
-        assert main(["stream", "--jsonl", "-", "--csv", "-"]) == 2
+    def test_serve_rejects_double_stdout(self, capsys):
+        assert main(["serve", "--jsonl", "-", "--csv", "-"]) == 2
         assert "cannot share stdout" in capsys.readouterr().err
 
-    def test_stream_rejects_malformed_phases(self, capsys):
-        assert main(["stream", "--phases", "100-0.05-2"]) == 2
+    def test_serve_rejects_malformed_phases(self, capsys):
+        assert main(["serve", "--phases", "100-0.05-2"]) == 2
         assert "flows:victim_ratio:epochs" in capsys.readouterr().err
 
-    def test_stream_rejects_missing_trace_file(self, capsys):
-        assert main(["stream", "--trace", "no_such_trace.jsonl"]) == 2
+    def test_serve_rejects_missing_trace_file(self, capsys):
+        assert main(["serve", "--trace", "no_such_trace.jsonl"]) == 2
         assert "does not exist" in capsys.readouterr().err
 
-    def test_stream_rejects_out_of_range_fail_host(self, capsys):
+    def test_serve_rejects_out_of_range_fail_host(self, capsys):
         assert main([
-            "stream", "--phases", "50:0.0:1", "--fail-epoch", "0",
+            "serve", "--phases", "50:0.0:1", "--fail-epoch", "0",
             "--fail-host", "99",
         ]) == 2
         assert "--fail-host" in capsys.readouterr().err

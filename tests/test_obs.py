@@ -631,11 +631,11 @@ class TestEngineIntegration:
 # CLI surface
 # --------------------------------------------------------------------------- #
 class TestCli:
-    def test_stream_spans_metrics_and_perf_report(self, capsys, tmp_path):
+    def test_serve_spans_metrics_and_perf_report(self, capsys, tmp_path):
         spans_path = str(tmp_path / "spans.jsonl")
         metrics_path = str(tmp_path / "metrics.jsonl")
         assert main([
-            "stream", "--epochs", "2", "--quiet", "--phases", "150:0.05:2",
+            "serve", "--epochs", "2", "--quiet", "--phases", "150:0.05:2",
             "--spans", spans_path, "--metrics", metrics_path,
         ]) == 0
         capsys.readouterr()

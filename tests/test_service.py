@@ -382,7 +382,7 @@ class TestCrashSafeSinks:
         resumed.close()
         lines = open(path).read().splitlines()
         assert len(lines) == 1 + len(RECORDS)  # exactly one header
-        assert lines[0] == "epoch,flows,f1"
+        assert lines[0] == "epoch,flows,f1,degraded,degraded_streak"
 
     def test_truncate_missing_file(self, tmp_path):
         sink = JsonlSink(str(tmp_path / "never.jsonl"))
