@@ -13,6 +13,11 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
+# Reference implementations kept in the test tree (e.g. fermat_reference).
+TESTS = os.path.join(os.path.dirname(SRC), "tests")
+if TESTS not in sys.path:
+    sys.path.append(TESTS)
+
 #: Global knob: 1.0 = laptop scale (default), larger values approach the paper.
 SCALE = float(os.environ.get("REPRO_SCALE", "1.0"))
 

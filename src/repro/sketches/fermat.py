@@ -12,6 +12,8 @@ XOR, two lost packets of the same flow do not cancel out, so the sketch can
 aggregate *per-flow* losses.  Fermat's little theorem is what makes a bucket
 that holds a single flow recoverable: if bucket ``B`` is *pure* then
 ``IDsum = count * f (mod p)`` and therefore ``f = IDsum * count^(p-2) (mod p)``.
+The decoders compute ``count^(-1)`` by extended Euclid (``pow(count, -1, p)``),
+which for a prime ``p`` is the same residue as ``count^(p-2)``.
 
 The sketch is
 
@@ -42,7 +44,6 @@ from .hashing import (
     PairwiseHash,
     fold_limb_sums_mod_mersenne,
     mersenne_exponent,
-    modexp_mersenne_u64,
     modinv_batch,
     modmul_array,
     modmul_mersenne_u64,
@@ -64,10 +65,14 @@ DEFAULT_NUM_ARRAYS = 3
 #: the scalar queue decoder instead.
 SCALAR_TAIL_BUCKETS = 512
 
-#: The same cutoff for wide (89/127-bit) primes, where the trade is inverted
-#: on both sides: a scalar bucket probe pays a wide-exponent ``pow`` (~10x a
-#: 61-bit one) while a frontier round is mostly one cheap Montgomery batch
-#: inversion, so the frontier stays profitable down to much smaller sketches.
+#: The same cutoff for wide (89/127-bit) primes.  It was set low because a
+#: scalar bucket probe used to pay a wide-exponent ``pow`` (~10x a 61-bit
+#: one); with Euclid inverses it no longer does, and the queue now beats a
+#: frontier round on small wide sketches too.  The value stays for the peel
+#: schedule, not for speed: the frontier and the queue peel in different
+#: orders, so moving the handoff changes the order of recovered flows (which
+#: reaches the loss reports) and, on overloaded fingerprintless sketches,
+#: which false positives are peeled.
 SCALAR_TAIL_BUCKETS_WIDE = 64
 
 #: When a frontier round peels fewer than 1/16 of its candidate buckets the
@@ -81,13 +86,6 @@ SCALAR_TAIL_PEEL_FRACTION = 16
 #: (zero verified peels — no scalar pass needed at all) within a round or
 #: two of trickling; only a sustained trickle is worth the switch.
 SCALAR_TAIL_TRICKLE_ROUNDS = 3
-
-#: Minimum batch of *uncached* counts worth the vectorized modular
-#: exponentiation: below this, per-value ``pow`` beats the fixed cost of the
-#: ~2·log2(p) limb-kernel launches.  Inverses are cached across rounds, so
-#: the batch path runs once on the large first frontier and later rounds hit
-#: the cache.
-MODEXP_MIN_BATCH = 1024
 
 #: Field widths used by the paper's CPU evaluation (32-bit count, 32-bit ID).
 DEFAULT_BUCKET_BYTES = 8
@@ -312,12 +310,6 @@ class FermatSketch(InvertibleSketch):
             )
         return ext
 
-    def _split_extended(self, ext: int) -> Tuple[int, int]:
-        bits = self.params.fingerprint_bits
-        if not bits:
-            return ext, 0
-        return ext >> bits, ext & ((1 << bits) - 1)
-
     def insert(self, flow_id: int, count: int = 1) -> None:
         """Encode ``count`` packets of flow ``flow_id`` (Algorithm 1)."""
         if count == 0:
@@ -468,27 +460,6 @@ class FermatSketch(InvertibleSketch):
     # ------------------------------------------------------------------ #
     # decoding
     # ------------------------------------------------------------------ #
-    def _pure_candidate(self, i: int, j: int) -> Optional[Tuple[int, int, int]]:
-        """If bucket (i, j) passes pure-bucket verification, return its flow.
-
-        Returns ``(extended_id, flow_id, count)`` or ``None``.  Verification
-        combines rehashing (does the recovered ID map back to this bucket?) and
-        the optional fingerprint check (appendix A.4).
-        """
-        count = int(self._counts[i][j])
-        idsum = int(self._idsums[i][j])
-        p = self.params.prime
-        if count % p == 0:
-            return None
-        # Fermat's little theorem: f = IDsum * count^(p-2) mod p.
-        ext = (idsum * pow(count % p, p - 2, p)) % p
-        if self._hashes[i](ext) != j:
-            return None
-        flow_id, fp = self._split_extended(ext)
-        if self._fp_hash is not None and self._fp_hash(flow_id) != fp:
-            return None
-        return ext, flow_id, count
-
     def decode(
         self, max_iterations: Optional[int] = None, vectorized: bool = True
     ) -> DecodeResult:
@@ -501,10 +472,10 @@ class FermatSketch(InvertibleSketch):
 
         ``vectorized=True`` (the default) runs the frontier-based NumPy
         decoder (:meth:`decode_vectorized`); ``vectorized=False`` runs the
-        scalar queue reference (:meth:`decode_scalar`).  Both produce the same
+        scalar queue (:meth:`decode_scalar`).  Both produce the same
         recovered flows, ``success``, ``remaining``, and residual bucket state.
 
-        An explicit ``max_iterations`` asks for the reference's pop-bounded
+        An explicit ``max_iterations`` asks for the queue's pop-bounded
         stopping behavior (the vectorized decoder counts peeled flows per
         round, not bucket pops), so it always runs the scalar queue.
         """
@@ -513,24 +484,36 @@ class FermatSketch(InvertibleSketch):
         return self.decode_scalar(max_iterations)
 
     def decode_scalar(self, max_iterations: Optional[int] = None) -> DecodeResult:
-        """The scalar queue decoder — the reference implementation.
+        """The scalar queue decoder: one bucket at a time, in FIFO order.
 
-        Pops one bucket at a time off a FIFO queue, verifies it with a
-        per-bucket ``pow(count, p - 2, p)``, and re-queues the peeled flow's
-        other buckets.  Kept as the bit-level reference the vectorized decoder
-        is asserted against, and used directly for non-Mersenne primes and for
-        the contended tail of a vectorized decode.
+        Every non-empty bucket is queued in (array, bucket) order.  Each pop
+        recovers the bucket's candidate flow as ``IDsum * count^(-1) mod p``,
+        verifies it by rehash and fingerprint, and on success peels the flow
+        from its ``d`` buckets and queues those left non-empty.  Decoding stops
+        when the queue drains or after ``max_iterations`` pops (default
+        ``64 x`` the bucket count).  The peel runs on plain Python lists —
+        each row is read once with ``tolist()`` and written back once at the
+        end — with the pairwise hashes evaluated inline from their
+        coefficients.  Used directly for non-Mersenne primes and pop budgets,
+        and for the tail of a vectorized decode.
         """
         p = self.params.prime
-        d = self.params.num_arrays
+        bits = self.params.fingerprint_bits
+        fp_mask = (1 << bits) - 1
+        coefficients = [(h.a, h.b, h.prime, h.range_size) for h in self._hashes]
+        fp_hash = self._fp_hash
+        if fp_hash is not None:
+            fa, fb, fprime, frange = fp_hash.a, fp_hash.b, fp_hash.prime, fp_hash.range_size
+        counts = [row.tolist() for row in self._counts]
+        idsums = [row.tolist() for row in self._idsums]
         queue: deque[Tuple[int, int]] = deque()
-        queued = [[False] * self.params.buckets_per_array for _ in range(d)]
-        for i in range(d):
-            counts, idsums = self._counts[i], self._idsums[i]
-            for j in range(self.params.buckets_per_array):
-                if counts[j] != 0 or idsums[j] != 0:
-                    queue.append((i, j))
-                    queued[i][j] = True
+        queued = [[False] * self.params.buckets_per_array for _ in counts]
+        for i, (count_row, idsum_row) in enumerate(zip(self._counts, self._idsums)):
+            nonzero = np.flatnonzero((count_row != 0) | (idsum_row != 0).astype(bool))
+            flags = queued[i]
+            for j in nonzero.tolist():
+                queue.append((i, j))
+                flags[j] = True
 
         flows: Dict[int, int] = {}
         iterations = 0
@@ -539,22 +522,42 @@ class FermatSketch(InvertibleSketch):
             iterations += 1
             i, j = queue.popleft()
             queued[i][j] = False
-            candidate = self._pure_candidate(i, j)
-            if candidate is None:
+            count = counts[i][j]
+            residue = count % p
+            if not residue:
                 continue
-            ext, flow_id, count = candidate
-            flows[flow_id] = flows.get(flow_id, 0) + count
-            if flows[flow_id] == 0:
+            # Fermat's little theorem; pow(c, -1, p) is the same residue as
+            # c^(p-2) mod p, computed by extended Euclid.
+            ext = idsums[i][j] * pow(residue, -1, p) % p
+            a, b, prime, size = coefficients[i]
+            if (a * ext + b) % prime % size != j:
+                continue
+            flow_id = ext >> bits
+            if fp_hash is not None and (fa * flow_id + fb) % fprime % frange != ext & fp_mask:
+                continue
+            merged = flows.get(flow_id, 0) + count
+            if merged:
+                flows[flow_id] = merged
+            else:
                 del flows[flow_id]
-            delta = (ext * count) % p
-            for i2, h in enumerate(self._hashes):
-                j2 = h(ext)
-                self._counts[i2][j2] -= count
-                self._idsums[i2][j2] = (int(self._idsums[i2][j2]) - delta) % p
-                if (self._counts[i2][j2] != 0 or self._idsums[i2][j2] != 0) and not queued[i2][j2]:
+            delta = ext * count % p
+            for i2, (a, b, prime, size) in enumerate(coefficients):
+                j2 = (a * ext + b) % prime % size
+                count_row, idsum_row = counts[i2], idsums[i2]
+                left = count_row[j2] - count
+                count_row[j2] = left
+                idsum = (idsum_row[j2] - delta) % p
+                idsum_row[j2] = idsum
+                if (left or idsum) and not queued[i2][j2]:
                     queue.append((i2, j2))
                     queued[i2][j2] = True
 
+        # In place, so each row keeps its dtype (int64 counts; uint64 or
+        # object IDsums).
+        for row, values in zip(self._counts, counts):
+            row[:] = values
+        for row, values in zip(self._idsums, idsums):
+            row[:] = values
         remaining = self.nonzero_buckets()
         return DecodeResult(flows=flows, success=remaining == 0, remaining=remaining)
 
@@ -565,15 +568,15 @@ class FermatSketch(InvertibleSketch):
         """Frontier-based NumPy peeling — same results as :meth:`decode_scalar`.
 
         Each round (1) collects every candidate bucket at once, (2) recovers
-        the extended IDs of the whole frontier in batch — ``count^(p-2) mod p``
-        via :func:`~repro.sketches.hashing.modexp_mersenne_u64` on unique
-        counts for primes below ``2**62``, Montgomery batch inversion for the
-        wide 89/127-bit primes — (3) verifies rehash and fingerprint with the
-        vectorized hash path, and (4) subtracts all verified peels with
-        duplicate-safe scatters.  Rounds repeat until no bucket verifies; a
-        frontier of at most :data:`SCALAR_TAIL_BUCKETS` candidates is handed
-        to the scalar queue decoder (per-round NumPy overhead would dominate).
-        Non-Mersenne primes fall back to the scalar reference entirely.
+        the extended IDs of the whole frontier in batch — ``count^(-1) mod p``
+        by extended Euclid on unique counts for primes below ``2**62``,
+        Montgomery batch inversion for the wide 89/127-bit primes — (3)
+        verifies rehash and fingerprint with the vectorized hash path, and (4)
+        subtracts all verified peels with duplicate-safe scatters.  Rounds
+        repeat until no bucket verifies; a frontier of at most
+        :data:`SCALAR_TAIL_BUCKETS` candidates is handed to the scalar queue
+        decoder (per-round NumPy overhead would dominate).  Non-Mersenne
+        primes run on the scalar queue entirely.
 
         Caveat: on a *fingerprintless* sketch loaded beyond the peeling
         threshold, rehash-only pure-bucket verification admits rare false
@@ -643,26 +646,11 @@ class FermatSketch(InvertibleSketch):
             ok &= fp == np.asarray(fp_part, dtype=np.uint64)
         return ok
 
-    def _invert_counts_u64(
-        self, unique: np.ndarray, exponent: int, cache: Dict[int, int]
-    ) -> np.ndarray:
-        """Fermat inverses of unique count residues, cached across rounds.
-
-        Large uncached batches (the first frontier of a big decode) go through
-        the vectorized limb modexp; small ones use per-value ``pow``, which is
-        cheaper than the fixed kernel-launch cost of the batch path.
-        """
+    def _invert_counts_u64(self, unique: np.ndarray, cache: Dict[int, int]) -> np.ndarray:
+        """Inverses of unique count residues by extended Euclid, cached across rounds."""
         p = self.params.prime
         unique_list = unique.tolist()
-        missing = [c for c in unique_list if c not in cache]
-        if missing:
-            if len(missing) >= MODEXP_MIN_BATCH:
-                inverted = modexp_mersenne_u64(
-                    np.array(missing, dtype=np.uint64), p - 2, exponent
-                )
-                cache.update(zip(missing, inverted.tolist()))
-            else:
-                cache.update((c, pow(c, p - 2, p)) for c in missing)
+        cache.update((c, pow(c, -1, p)) for c in unique_list if c not in cache)
         return np.fromiter(
             (cache[c] for c in unique_list), dtype=np.uint64, count=len(unique_list)
         )
@@ -685,10 +673,10 @@ class FermatSketch(InvertibleSketch):
                 j, raw, cmod = j[nonzero], raw[nonzero], cmod[nonzero]
                 if j.size == 0:
                     continue
-            # Fermat inversion on *unique* counts only: loss counts repeat
-            # heavily, so this collapses the modexp work per round.
+            # Invert *unique* counts only: loss counts repeat heavily, so this
+            # collapses the inversion work per round.
             unique, inverse_index = np.unique(cmod, return_inverse=True)
-            inverses = self._invert_counts_u64(unique, exponent, cache)[inverse_index]
+            inverses = self._invert_counts_u64(unique, cache)[inverse_index]
             ext = modmul_mersenne_u64(self._idsums[i][j], inverses, exponent)
             if bits:
                 flow_part = ext >> np.uint64(bits)

@@ -496,8 +496,9 @@ def modmul_mersenne_u64(a: np.ndarray, b: np.ndarray, e: int) -> np.ndarray:
     is assembled from 32-bit half-products (every intermediate fits uint64:
     the high halves are below ``2**(e-32)``, so the cross terms stay under
     ``2**62`` and the folded sum under ``2**63``) and reduced with the Mersenne
-    identity ``2**64 ≡ 2**(64-e)``.  This is the multiply that the vectorized
-    FermatSketch decoder builds its batched modular exponentiation on.
+    identity ``2**64 ≡ 2**(64-e)``.  The vectorized FermatSketch decoder uses
+    it to recover a frontier's extended IDs (``IDsum * count^(-1)``) and its
+    peel deltas.
     """
     if e > 61:
         raise ValueError("modmul_mersenne_u64 supports Mersenne exponents <= 61")
@@ -520,36 +521,14 @@ def modmul_mersenne_u64(a: np.ndarray, b: np.ndarray, e: int) -> np.ndarray:
     return v
 
 
-def modexp_mersenne_u64(base: np.ndarray, exponent: int, e: int) -> np.ndarray:
-    """Element-wise ``base ** exponent mod (2**e - 1)`` on uint64 residues.
-
-    Plain square-and-multiply over a *scalar* exponent shared by the whole
-    batch (the FermatSketch decoder raises every pure-bucket count to the
-    fixed ``p - 2``), so the loop body is a handful of vectorized
-    :func:`modmul_mersenne_u64` calls regardless of batch size.
-    """
-    if exponent < 0:
-        raise ValueError("exponent must be non-negative")
-    result = np.ones(base.shape, dtype=np.uint64)
-    if exponent == 0:
-        return result
-    square = base.astype(np.uint64, copy=True)
-    while True:
-        if exponent & 1:
-            result = modmul_mersenne_u64(result, square, e)
-        exponent >>= 1
-        if not exponent:
-            return result
-        square = modmul_mersenne_u64(square, square, e)
-
-
 def modinv_batch(values: Sequence[int], prime: int) -> List[int]:
     """Inverses mod ``prime`` of non-zero residues via Montgomery's batch trick.
 
-    One prefix-product pass, a single ``pow(_, prime - 2, prime)``, and one
-    back-substitution pass replace ``len(values)`` modular exponentiations —
-    the decoder's fast path for the wide (89/127-bit) Fermat primes whose
-    residues do not fit uint64.
+    One prefix-product pass, a single inverse (``pow(_, -1, prime)``, by
+    extended Euclid), and one back-substitution pass replace ``len(values)``
+    inversions — three modular multiplications per value, which beat a
+    per-value Euclid inverse at 127 bits.  The decoder's frontier path for
+    the wide (89/127-bit) Fermat primes, whose residues do not fit uint64.
     """
     prefix: List[int] = []
     acc = 1
@@ -560,7 +539,7 @@ def modinv_batch(values: Sequence[int], prime: int) -> List[int]:
         return []
     if acc == 0:
         raise ValueError("modinv_batch requires values coprime to the prime")
-    inverse = pow(acc, prime - 2, prime)
+    inverse = pow(acc, -1, prime)
     out = [0] * len(prefix)
     for i in range(len(prefix) - 1, 0, -1):
         out[i] = (inverse * prefix[i - 1]) % prime

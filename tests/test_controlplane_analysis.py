@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.controlplane.analysis import packet_loss_detection
+from repro.controlplane.analysis import (
+    HHDecode,
+    compute_delta_encoders,
+    decode_hh_encoders,
+    packet_loss_detection,
+)
 from repro.controlplane.tasks import (
     build_views,
     cardinality_estimate,
@@ -15,15 +20,18 @@ from repro.controlplane.tasks import (
 )
 from repro.dataplane.config import SwitchResources
 from repro.network.simulator import build_testbed_simulator
+from repro.sketches.fermat import MERSENNE_PRIME_61, MERSENNE_PRIME_127
 from repro.traffic.generator import generate_workload
 
 
-def run_one_epoch(num_flows=400, victim_ratio=0.1, seed=1, scale=0.05):
+def run_one_epoch(num_flows=400, victim_ratio=0.1, seed=1, scale=0.05,
+                  prime=None, use_five_tuple=True):
     resources = SwitchResources.scaled(scale)
-    simulator = build_testbed_simulator(resources=resources, seed=seed)
+    simulator = build_testbed_simulator(resources=resources, seed=seed, prime=prime)
     trace = generate_workload(
         "DCTCP", num_flows=num_flows, victim_ratio=victim_ratio, loss_rate=0.05,
         num_hosts=simulator.topology.num_hosts, seed=seed,
+        use_five_tuple=use_five_tuple,
     )
     truth = simulator.run_epoch(trace)
     groups = {node: switch.end_epoch() for node, switch in simulator.switches.items()}
@@ -62,6 +70,62 @@ class TestPacketLossDetection:
         assert not all(d.success for d in report.hh_decodes.values())
         assert not report.analysis_completed
         assert report.all_losses() == {}
+
+
+def per_flow_delta_hl(groups, hh_decodes):
+    """The delta HL built with one ``insert`` per HH flow (the reference)."""
+    upstream = downstream = None
+    for group in groups.values():
+        up, down = group.upstream.parts.hl, group.downstream.parts.hl
+        upstream = up.copy() if upstream is None else upstream.add(up)
+        downstream = down.copy() if downstream is None else downstream.add(down)
+    for decode in hh_decodes.values():
+        for flow_id, size in decode.flowset.items():
+            upstream.insert(flow_id, size)
+    return upstream.subtract(downstream)
+
+
+def assert_same_state(got, want):
+    for i in range(want.num_arrays):
+        assert got._counts[i].dtype == want._counts[i].dtype
+        assert got._counts[i].tolist() == want._counts[i].tolist()
+        assert got._idsums[i].dtype == want._idsums[i].dtype
+        assert [int(v) for v in got._idsums[i]] == [int(v) for v in want._idsums[i]]
+
+
+class TestDeltaEncoders:
+    """``compute_delta_encoders`` re-inserts every HH flowset in one batch."""
+
+    @pytest.mark.parametrize(
+        "prime, use_five_tuple",
+        [(MERSENNE_PRIME_61, False), (MERSENNE_PRIME_127, True)],
+        ids=["uint64-p61", "five-tuple-p127"],
+    )
+    def test_batch_matches_per_flow_inserts(self, prime, use_five_tuple):
+        groups, _, _ = run_one_epoch(
+            num_flows=600, seed=9, prime=prime, use_five_tuple=use_five_tuple
+        )
+        hh_decodes = decode_hh_encoders(groups)
+        flow_ids = [f for d in hh_decodes.values() for f in d.flowset]
+        assert flow_ids
+        assert (max(flow_ids) >= 1 << 64) == use_five_tuple
+        delta_hl, _ = compute_delta_encoders(groups, hh_decodes)
+        assert_same_state(delta_hl, per_flow_delta_hl(groups, hh_decodes))
+
+    def test_empty_flowsets(self):
+        groups, _, _ = run_one_epoch(num_flows=600, seed=10)
+        hh_decodes = decode_hh_encoders(groups)
+        empty = HHDecode(flowset={}, success=True, num_candidates=0)
+        first = next(iter(hh_decodes))
+        one_empty = {
+            switch: empty if switch == first else decode
+            for switch, decode in hh_decodes.items()
+        }
+        assert any(d.flowset for d in one_empty.values())
+        all_empty = {switch: empty for switch in hh_decodes}
+        for decodes in (one_empty, all_empty):
+            delta_hl, _ = compute_delta_encoders(groups, decodes)
+            assert_same_state(delta_hl, per_flow_delta_hl(groups, decodes))
 
 
 class TestAccumulationTasks:

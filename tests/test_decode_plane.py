@@ -1,19 +1,28 @@
-"""Property tests for the vectorized decode plane.
+"""Property tests for the decode plane.
 
-The frontier-based NumPy decoders (FermatSketch, FlowRadar, LossRadar) must be
-bit-identical to their scalar queue references: same recovered flow dict, same
-``success``, same ``remaining`` — and, for FermatSketch, the same residual
-bucket state — across random seeds, mixed insert/remove traces, subtracted
-sketch pairs, overloaded sketches where decoding must fail, fingerprint and
-fingerprintless configs, and every Fermat prime in use (61/89/127-bit Mersenne
-plus a non-Mersenne prime that routes to the scalar reference).
+FermatSketch's two production decoders — the frontier-based NumPy decoder
+(``decode_vectorized``) and the scalar queue (``decode_scalar``) — must be
+bit-identical to the per-bucket queue decoder kept in
+``tests/fermat_reference.py``: the same recovered flows in the same order,
+the same ``success`` and ``remaining``, and the same residual bucket state.
+The matrix covers random seeds, mixed insert/remove traces, subtracted sketch
+pairs with negative counts, overloaded sketches where decoding must fail,
+fingerprint and fingerprintless configs, pop budgets, and every Fermat prime
+in use (13/61/89/127-bit Mersenne plus a non-Mersenne prime that routes to the
+scalar queue).  A golden digest pins the decoders' output on a fixed set of
+sketches to a committed value.  FlowRadar and LossRadar decoders are checked
+against their own scalar references.
 """
 
+import functools
+import hashlib
+import json
 import random
 
 import numpy as np
 import pytest
 
+from fermat_reference import reference_decode_scalar
 from repro.controlplane.analysis import packet_loss_detection
 from repro.sketches.fermat import (
     MERSENNE_PRIME_61,
@@ -22,12 +31,10 @@ from repro.sketches.fermat import (
     FermatSketch,
 )
 from repro.sketches.flowradar import FlowRadar
-from repro.sketches.hashing import (
-    modexp_mersenne_u64,
-    modinv_batch,
-    modmul_mersenne_u64,
-)
+from repro.sketches.hashing import modinv_batch, modmul_mersenne_u64
 from repro.sketches.lossradar import LossRadar
+
+MERSENNE_PRIME_13 = (1 << 13) - 1
 
 
 def make_flows(count, seed=0, max_size=50, id_bits=32):
@@ -38,21 +45,60 @@ def make_flows(count, seed=0, max_size=50, id_bits=32):
     return flows
 
 
-def assert_identical_decodes(sketch):
-    """Scalar and vectorized decode of ``sketch`` agree on results AND state."""
-    scalar, vectorized = sketch.copy(), sketch.copy()
-    a = scalar.decode_scalar()
-    b = vectorized.decode_vectorized()
-    assert a.flows == b.flows
-    assert a.success == b.success
-    assert a.remaining == b.remaining
-    for i in range(sketch.num_arrays):
-        assert (scalar._counts[i] == vectorized._counts[i]).all()
-        assert all(
-            int(x) == int(y)
-            for x, y in zip(scalar._idsums[i], vectorized._idsums[i])
+def decode_outcome(result, sketch):
+    """Everything a decode produces, as plain Python values.
+
+    Flows are compared as an item list, so their order counts: it reaches
+    ``LossReport.heavy_losses``.
+    """
+    return {
+        "flows": [[int(k), int(v)] for k, v in result.flows.items()],
+        "success": bool(result.success),
+        "remaining": int(result.remaining),
+        "counts": [
+            [str(row.dtype), row.tolist()] for row in sketch._counts
+        ],
+        "idsums": [
+            [str(row.dtype), [int(v) for v in row]] for row in sketch._idsums
+        ],
+    }
+
+
+def assert_identical_decodes(sketch, max_iterations=None, schedules_agree=True):
+    """Both decoders of ``sketch`` match the reference in results AND state.
+
+    ``decode_scalar`` must match :func:`reference_decode_scalar` outright.
+    ``decode_vectorized`` peels in frontier order and hands its tail to
+    ``self.decode_scalar``; it must match itself run with the reference as
+    that tail.  Unless ``schedules_agree`` is false, both must also agree
+    with each other on the recovered flow set, ``success``, ``remaining`` and
+    residual state (see ``decode_vectorized``'s caveat on overloaded
+    fingerprintless sketches, where they need not).  The frontier decoder
+    counts peeled flows, not bucket pops, so a pop budget is checked on the
+    scalar queue only (where ``decode`` routes it).
+    """
+    reference = sketch.copy()
+    result = reference_decode_scalar(reference, max_iterations)
+    want = decode_outcome(result, reference)
+    scalar = sketch.copy()
+    assert decode_outcome(scalar.decode_scalar(max_iterations), scalar) == want
+    if max_iterations is None:
+        frontier_reference = sketch.copy()
+        frontier_reference.decode_scalar = functools.partial(
+            reference_decode_scalar, frontier_reference
         )
-    return a
+        want_frontier = decode_outcome(
+            frontier_reference.decode_vectorized(), frontier_reference
+        )
+        frontier = sketch.copy()
+        got = decode_outcome(frontier.decode_vectorized(), frontier)
+        assert got == want_frontier
+        if schedules_agree:
+            assert sorted(got["flows"]) == sorted(want["flows"])
+            assert {k: got[k] for k in got if k != "flows"} == {
+                k: want[k] for k in want if k != "flows"
+            }
+    return result
 
 
 # --------------------------------------------------------------------------- #
@@ -69,24 +115,6 @@ class TestMersenneArithmetic:
         expected = [(int(x) * int(y)) % p for x, y in zip(a, b)]
         assert got.tolist() == expected
 
-    @pytest.mark.parametrize("e", [13, 31, 61])
-    def test_modexp_matches_pow(self, e):
-        p = (1 << e) - 1
-        rng = random.Random(100 + e)
-        base = np.array([rng.randrange(p) for _ in range(64)], dtype=np.uint64)
-        got = modexp_mersenne_u64(base, p - 2, e)
-        expected = [pow(int(x), p - 2, p) for x in base]
-        assert got.tolist() == expected
-        # Fermat inversion really inverts the non-zero values.
-        for x, inv in zip(base.tolist(), got.tolist()):
-            if x:
-                assert (x * inv) % p == 1
-
-    def test_modexp_edge_exponents(self):
-        base = np.array([5, 7], dtype=np.uint64)
-        assert modexp_mersenne_u64(base, 0, 61).tolist() == [1, 1]
-        assert modexp_mersenne_u64(base, 1, 61).tolist() == [5, 7]
-
     @pytest.mark.parametrize("prime", [MERSENNE_PRIME_61, MERSENNE_PRIME_127])
     def test_modinv_batch(self, prime):
         rng = random.Random(7)
@@ -99,9 +127,62 @@ class TestMersenneArithmetic:
 
 
 # --------------------------------------------------------------------------- #
-# FermatSketch: vectorized vs scalar reference
+# FermatSketch: both decoders vs the per-bucket reference
 # --------------------------------------------------------------------------- #
+#: (prime, fingerprint bits, flow-ID bits, flows, max size): the ID width
+#: leaves room for the fingerprint below the prime.
+PRIME_CASES = [
+    (101, 0, 6, 30, 10),
+    (MERSENNE_PRIME_13, 0, 12, 40, 20),
+    (MERSENNE_PRIME_13, 8, 4, 12, 20),
+    (MERSENNE_PRIME_61, 0, 60, 300, 50),
+    (MERSENNE_PRIME_61, 8, 52, 300, 50),
+    (MERSENNE_PRIME_89, 0, 88, 200, 50),
+    (MERSENNE_PRIME_89, 8, 80, 200, 50),
+    (MERSENNE_PRIME_127, 0, 104, 200, 50),
+    (MERSENNE_PRIME_127, 8, 104, 200, 50),
+]
+
+
+def _prime_case_id(case):
+    prime, bits = case[0], case[1]
+    name = f"2^{prime.bit_length()}-1" if prime & (prime + 1) == 0 else str(prime)
+    return f"p{name}-fp{bits}"
+
+
+def loaded_sketch(prime, bits, id_bits, num_flows, max_size, seed=0):
+    flows = make_flows(num_flows, seed=seed, max_size=max_size, id_bits=id_bits)
+    sketch = FermatSketch.for_flow_count(
+        num_flows, load_factor=0.6, seed=seed, prime=prime, fingerprint_bits=bits
+    )
+    sketch.insert_batch(list(flows), list(flows.values()))
+    return sketch, flows
+
+
+def subtracted_pair(prime, bits, num_flows=250, seed=31):
+    """``up - down`` with losses and, for a few flows, extra downstream packets."""
+    flows = make_flows(num_flows, seed=seed, id_bits=min(52, prime.bit_length() - 1 - bits))
+    up = FermatSketch.for_flow_count(
+        num_flows, load_factor=0.5, seed=seed, prime=prime, fingerprint_bits=bits
+    )
+    down = up.empty_like()
+    rng = random.Random(seed)
+    for flow_id, size in flows.items():
+        up.insert(flow_id, size)
+        delta = rng.randrange(-2, min(4, size + 1))
+        if size - delta:
+            down.insert(flow_id, size - delta)
+    return up - down
+
+
 class TestFermatDecodePlane:
+    @pytest.mark.parametrize("case", PRIME_CASES, ids=_prime_case_id)
+    def test_every_prime_and_fingerprint(self, case):
+        sketch, flows = loaded_sketch(*case, seed=11)
+        result = assert_identical_decodes(sketch)
+        if result.success:
+            assert result.flows == flows
+
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("fingerprint_bits", [0, 8])
     def test_roundtrip_identical(self, seed, fingerprint_bits):
@@ -130,7 +211,7 @@ class TestFermatDecodePlane:
     def test_small_mersenne_prime(self):
         # p = 2**13 - 1 forces multi-fold reductions on tiny residues.
         flows = make_flows(40, seed=13, max_size=20, id_bits=12)
-        sketch = FermatSketch(80, prime=(1 << 13) - 1, seed=13)
+        sketch = FermatSketch(80, prime=MERSENNE_PRIME_13, seed=13)
         for flow_id, size in flows.items():
             sketch.insert(flow_id, size)
         result = assert_identical_decodes(sketch)
@@ -170,6 +251,16 @@ class TestFermatDecodePlane:
         if result.success:
             assert result.positive_flows() == losses
 
+    @pytest.mark.parametrize(
+        "prime", [MERSENNE_PRIME_61, MERSENNE_PRIME_127], ids=["p61", "p127"]
+    )
+    @pytest.mark.parametrize("fingerprint_bits", [0, 8])
+    def test_negative_counts_identical(self, prime, fingerprint_bits):
+        delta = subtracted_pair(prime, fingerprint_bits)
+        assert any((row < 0).any() for row in delta._counts)
+        result = assert_identical_decodes(delta)
+        assert any(count < 0 for count in result.flows.values())
+
     @pytest.mark.parametrize("seed", [41, 42, 43])
     @pytest.mark.parametrize("fingerprint_bits", [0, 8])
     def test_overloaded_decode_fails_identically(self, seed, fingerprint_bits):
@@ -181,6 +272,31 @@ class TestFermatDecodePlane:
         assert not result.success
         assert result.remaining > 0
 
+    def test_overloaded_fingerprintless_garbage_cycle(self):
+        # 600 flows at 1.15 buckets/flow, no fingerprints: rehash-only
+        # verification admits garbage peels, and the queue cycles until the
+        # 64 x buckets pop limit stops it.  The frontier and the queue then
+        # recover different garbage.
+        flows = make_flows(600, seed=44, id_bits=60)
+        sketch = FermatSketch(230, seed=44)
+        sketch.insert_batch(list(flows), list(flows.values()))
+        result = assert_identical_decodes(sketch, schedules_agree=False)
+        assert not result.success
+
+    @pytest.mark.parametrize("budget", [1, 7, "initial-queue"])
+    @pytest.mark.parametrize(
+        "prime", [MERSENNE_PRIME_61, MERSENNE_PRIME_127], ids=["p61", "p127"]
+    )
+    def test_pop_budget_identical(self, budget, prime):
+        sketch, _ = loaded_sketch(prime, 8, 52, 300, 50, seed=7)
+        # "initial-queue" is exhausted once every initially non-empty bucket
+        # has been popped, before any re-queued bucket gets its turn.
+        limit = sketch.nonzero_buckets() if budget == "initial-queue" else budget
+        result = assert_identical_decodes(sketch, max_iterations=limit)
+        assert not result.success
+        routed = sketch.copy()
+        assert routed.decode(max_iterations=limit).flows == result.flows
+
     def test_non_mersenne_prime_routes_to_scalar(self):
         sketch = FermatSketch(16, prime=101, seed=1)
         sketch.insert(7, 3)
@@ -190,6 +306,13 @@ class TestFermatDecodePlane:
 
     def test_empty_sketch(self):
         result = FermatSketch(8).decode_vectorized()
+        assert result.success and result.flows == {}
+
+    @pytest.mark.parametrize(
+        "prime", [MERSENNE_PRIME_61, MERSENNE_PRIME_127], ids=["p61", "p127"]
+    )
+    def test_empty_sketch_identical(self, prime):
+        result = assert_identical_decodes(FermatSketch(8, prime=prime))
         assert result.success and result.flows == {}
 
     def test_vectorized_is_default(self):
@@ -220,6 +343,61 @@ class TestFermatDecodePlane:
         wide = (1 << 100) + 5
         sketch.encode_trace([wide, wide, 9])
         assert sketch.decode().flows == {wide: 2, 9: 1}
+
+
+# --------------------------------------------------------------------------- #
+# golden decode digest
+# --------------------------------------------------------------------------- #
+#: SHA-256 of both decoders' outcomes on :func:`golden_sketches`, computed
+#: with the per-bucket queue decoder.  A change that alters what any decode
+#: recovers, in which order, or the state it leaves must update this value
+#: and say why.
+GOLDEN_DECODE_SHA256 = (
+    "3f57d9107af277db0602fb80fdbd91d43e5a7bbcd3b94e7be58b26f88fce3eea"
+)
+
+
+def golden_sketches():
+    """A fixed, seeded set of sketches shaped like the benchmark's decodes."""
+    sketches = []
+    # Fabric-like HH parts: ~150 uint64 flows in 717 buckets per array on
+    # the 61-bit prime, so the whole decode runs on the scalar queue.
+    for k in range(3):
+        flows = make_flows(150, seed=100 + k, max_size=3000, id_bits=60)
+        sketch = FermatSketch(717, prime=MERSENNE_PRIME_61, seed=100 + k)
+        sketch.insert_batch(list(flows), list(flows.values()))
+        sketches.append((f"fabric-hh-{k}", sketch))
+    # Testbed-like HH parts: 104-bit five-tuple IDs in 179 buckets per array
+    # on the 127-bit prime: one wide frontier round, then the queue.
+    for k in range(3):
+        flows = make_flows(100, seed=200 + k, max_size=3000, id_bits=104)
+        sketch = FermatSketch(179, prime=MERSENNE_PRIME_127, seed=200 + k)
+        sketch.insert_batch(list(flows), list(flows.values()))
+        sketches.append((f"testbed-hh-{k}", sketch))
+    # An overloaded fingerprintless sketch: ~1k flows at 1.15 buckets/flow,
+    # where garbage peels cycle until the pop limit.
+    flows = make_flows(1000, seed=300, id_bits=60)
+    sketch = FermatSketch(384, prime=MERSENNE_PRIME_61, seed=300)
+    sketch.insert_batch(list(flows), list(flows.values()))
+    sketches.append(("overloaded-nofp", sketch))
+    # A subtracted pair with fingerprints and some negative counts.
+    sketches.append(("subtracted-fp8", subtracted_pair(MERSENNE_PRIME_61, 8, seed=301)))
+    return sketches
+
+
+def golden_decode_digest():
+    outcomes = []
+    for name, sketch in golden_sketches():
+        for decoder in ("decode_scalar", "decode_vectorized"):
+            copy = sketch.copy()
+            result = getattr(copy, decoder)()
+            outcomes.append([name, decoder, decode_outcome(result, copy)])
+    payload = json.dumps(outcomes, separators=(",", ":")).encode()
+    return hashlib.sha256(payload).hexdigest()
+
+
+def test_golden_decode_digest():
+    assert golden_decode_digest() == GOLDEN_DECODE_SHA256
 
 
 # --------------------------------------------------------------------------- #
