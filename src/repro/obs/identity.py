@@ -37,6 +37,11 @@ LATE_FIELDS = ("degraded", "degraded_streak")
 #: specification: excluded when comparing two checkpoints for identity.
 CHECKPOINT_TIMING_KEYS = ("written_at",)
 
+#: Keys of a checkpoint's ``sinks`` entries that locate bytes on disk: the
+#: file path is the run's choice, and the byte offset counts serialized timing
+#: fields, so neither takes part in an identity comparison.
+CHECKPOINT_SINK_LOCATION_KEYS = ("path", "offset")
+
 
 def comparable(record: Dict[str, Any]) -> Dict[str, Any]:
     """A record with its timing fields stripped (for identity comparisons)."""
@@ -49,11 +54,14 @@ def comparable_records(records: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]
 
 
 def comparable_checkpoint(state: Dict[str, Any]) -> Dict[str, Any]:
-    """A checkpoint state with its wall-clock manifest timestamps stripped.
+    """A checkpoint state with its wall-clock and on-disk fields stripped.
 
     Checkpoint *content* (engine loop state, system snapshot, alert state,
-    sink offsets) must be bit-identical between equivalent runs; only the
-    ``meta`` sub-dict carries a wall-clock ``written_at`` snapshot timestamp.
+    each sink's kind and CSV columns) must be bit-identical between
+    equivalent runs.  Two things may differ: the ``meta`` sub-dict's
+    wall-clock ``written_at`` timestamp, and each file sink's ``path`` and
+    byte ``offset`` (a JSONL line carries ``wall_ms`` and ``decode_ms``, so
+    its length varies from run to run).
     """
     clean = dict(state)
     meta = clean.get("meta")
@@ -63,4 +71,14 @@ def comparable_checkpoint(state: Dict[str, Any]) -> Dict[str, Any]:
             for key, value in meta.items()
             if key not in CHECKPOINT_TIMING_KEYS
         }
+    sinks = clean.get("sinks")
+    if isinstance(sinks, list):
+        clean["sinks"] = [
+            {
+                key: value
+                for key, value in sink.items()
+                if key not in CHECKPOINT_SINK_LOCATION_KEYS
+            }
+            for sink in sinks
+        ]
     return clean

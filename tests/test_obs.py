@@ -528,6 +528,29 @@ class TestIdentity:
         # written_at is the wall-clock annotation the comparison strips.
         assert "written_at" in plain["meta"]
 
+    def test_file_sink_checkpoints_match(self, tmp_path):
+        """Two identical runs into different JSONL files checkpoint alike:
+        the sink's path and byte offset (the lines carry wall_ms) are not
+        compared, its kind is."""
+        from repro.service import TelemetryService, read_checkpoint
+        from repro.stream import JsonlSink
+
+        states = []
+        for run in range(2):
+            source = SyntheticSource.steady(
+                num_flows=100, epochs=3, victim_ratio=0.1, loss_rate=0.1, seed=4
+            )
+            engine = make_engine(
+                source, sinks=[JsonlSink(str(tmp_path / f"run{run}.jsonl"))]
+            )
+            path = str(tmp_path / f"ck{run}.rtck")
+            TelemetryService(engine, checkpoint_path=path).run()
+            states.append(read_checkpoint(path))
+        first, second = states
+        assert first["sinks"][0]["path"] != second["sinks"][0]["path"]
+        assert comparable_checkpoint(first) == comparable_checkpoint(second)
+        assert comparable_checkpoint(first)["sinks"] == [{"kind": "jsonl"}]
+
     def test_shard_span_histograms_merge_linearly(self, tmp_path):
         """Histogram merge linearity over real shard-shipped span durations."""
         _run(6, shards=4, observed=True, tmp_path=tmp_path)
