@@ -15,7 +15,7 @@ from conftest import print_table, run_figure, scaled
 
 NUM_FLOWS = scaled(1000, minimum=200)
 BUCKETS_PER_FLOW = (1.17, 1.20, 1.23, 1.26, 1.29)
-TRIALS = 20
+TRIALS = 200
 
 
 def run():

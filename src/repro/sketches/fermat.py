@@ -87,6 +87,13 @@ SCALAR_TAIL_PEEL_FRACTION = 16
 #: two of trickling; only a sustained trickle is worth the switch.
 SCALAR_TAIL_TRICKLE_ROUNDS = 3
 
+#: Default pop budget of a decode, in pops per bucket.  A decodable sketch
+#: drains in far fewer; a failing one pops until the budget runs out, so the
+#: budget sets what a failed decode costs.  On every decode of fig10 and of
+#: the benchmark workloads, 4 pops per bucket already gives the same
+#: ``success`` as 64; 2 does not.
+DECODE_POPS_PER_BUCKET = 8
+
 #: Field widths used by the paper's CPU evaluation (32-bit count, 32-bit ID).
 DEFAULT_BUCKET_BYTES = 8
 
@@ -491,7 +498,7 @@ class FermatSketch(InvertibleSketch):
         verifies it by rehash and fingerprint, and on success peels the flow
         from its ``d`` buckets and queues those left non-empty.  Decoding stops
         when the queue drains or after ``max_iterations`` pops (default
-        ``64 x`` the bucket count).  The peel runs on plain Python lists —
+        :data:`DECODE_POPS_PER_BUCKET` per bucket).  The peel runs on plain Python lists —
         each row is read once with ``tolist()`` and written back once at the
         end — with the pairwise hashes evaluated inline from their
         coefficients.  Used directly for non-Mersenne primes and pop budgets,
@@ -517,7 +524,11 @@ class FermatSketch(InvertibleSketch):
 
         flows: Dict[int, int] = {}
         iterations = 0
-        limit = max_iterations if max_iterations is not None else 64 * self.total_buckets()
+        limit = (
+            max_iterations
+            if max_iterations is not None
+            else DECODE_POPS_PER_BUCKET * self.total_buckets()
+        )
         while queue and iterations < limit:
             iterations += 1
             i, j = queue.popleft()
@@ -590,7 +601,11 @@ class FermatSketch(InvertibleSketch):
         exponent = mersenne_exponent(p)
         if exponent is None:
             return self.decode_scalar(max_iterations)
-        limit = max_iterations if max_iterations is not None else 64 * self.total_buckets()
+        limit = (
+            max_iterations
+            if max_iterations is not None
+            else DECODE_POPS_PER_BUCKET * self.total_buckets()
+        )
         narrow = exponent <= 61  # residues fit uint64; else object-dtype IDsums
         flows: Dict[int, int] = {}
         # Count values repeat heavily within and across rounds (loss counts

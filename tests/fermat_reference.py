@@ -14,6 +14,7 @@ from collections import deque
 from typing import Dict, Optional, Tuple
 
 from repro.sketches.base import DecodeResult
+from repro.sketches.fermat import DECODE_POPS_PER_BUCKET
 
 
 def _split_extended(sketch, ext: int) -> Tuple[int, int]:
@@ -60,7 +61,11 @@ def reference_decode_scalar(sketch, max_iterations: Optional[int] = None) -> Dec
 
     flows: Dict[int, int] = {}
     iterations = 0
-    limit = max_iterations if max_iterations is not None else 64 * sketch.total_buckets()
+    limit = (
+        max_iterations
+        if max_iterations is not None
+        else DECODE_POPS_PER_BUCKET * sketch.total_buckets()
+    )
     while queue and iterations < limit:
         iterations += 1
         i, j = queue.popleft()

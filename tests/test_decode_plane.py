@@ -275,7 +275,7 @@ class TestFermatDecodePlane:
     def test_overloaded_fingerprintless_garbage_cycle(self):
         # 600 flows at 1.15 buckets/flow, no fingerprints: rehash-only
         # verification admits garbage peels, and the queue cycles until the
-        # 64 x buckets pop limit stops it.  The frontier and the queue then
+        # default pop budget stops it.  The frontier and the queue then
         # recover different garbage.
         flows = make_flows(600, seed=44, id_bits=60)
         sketch = FermatSketch(230, seed=44)
