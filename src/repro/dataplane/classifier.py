@@ -37,87 +37,6 @@ class FlowClassifier:
     def reset(self) -> None:
         self.tower.reset()
 
-    # ------------------------------------------------------------------ #
-    def is_sampled(self, flow_id: int, config: MonitoringConfig) -> bool:
-        """Flow-level sampling decision for LL candidates.
-
-        The decision depends only on the flow ID and the configured rate, so
-        the upstream and downstream encoders agree on it without extra state.
-        """
-        threshold = int(round(config.sample_rate * SAMPLE_HASH_RANGE))
-        return self._sample_hash(flow_id) < threshold
-
-    def classify_estimate(
-        self, estimate: int, flow_id: int, config: MonitoringConfig
-    ) -> FlowHierarchy:
-        """Hierarchy of a packet whose flow has the given post-insert estimate."""
-        if estimate >= config.threshold_high:
-            return FlowHierarchy.HH_CANDIDATE
-        if estimate >= config.threshold_low:
-            return FlowHierarchy.HL_CANDIDATE
-        if self.is_sampled(flow_id, config):
-            return FlowHierarchy.SAMPLED_LL
-        return FlowHierarchy.NON_SAMPLED_LL
-
-    def classify_packet(self, flow_id: int, config: MonitoringConfig) -> FlowHierarchy:
-        """Insert one packet into the classifier and return its hierarchy."""
-        estimate = self.tower.insert(flow_id, 1)
-        return self.classify_estimate(estimate, flow_id, config)
-
-    def classify_flow_packets(
-        self, flow_id: int, num_packets: int, config: MonitoringConfig
-    ) -> List[Tuple[FlowHierarchy, int]]:
-        """Insert ``num_packets`` of one flow and return its hierarchy segments.
-
-        The result is an ordered list of ``(hierarchy, packet_count)`` segments
-        equivalent to classifying the packets one at a time.  Because the
-        classifier estimate for a flow grows by exactly one per inserted packet
-        (until saturation) while no other flow's packets interleave, the
-        segment boundaries can be computed in closed form, which keeps the
-        simulation fast without changing any classification decision.
-        """
-        if num_packets <= 0:
-            return []
-        segments: List[Tuple[FlowHierarchy, int]] = []
-        remaining = num_packets
-        sampled = self.is_sampled(flow_id, config)
-        while remaining > 0:
-            estimate = self.tower.query(flow_id)
-            next_estimate = estimate + 1
-            if next_estimate >= config.threshold_high:
-                hierarchy = FlowHierarchy.HH_CANDIDATE
-                chunk = remaining
-            elif next_estimate >= config.threshold_low:
-                hierarchy = FlowHierarchy.HL_CANDIDATE
-                chunk = min(remaining, config.threshold_high - 1 - estimate)
-            else:
-                hierarchy = (
-                    FlowHierarchy.SAMPLED_LL if sampled else FlowHierarchy.NON_SAMPLED_LL
-                )
-                chunk = min(remaining, config.threshold_low - 1 - estimate)
-            chunk = max(1, chunk)
-            self.tower.insert(flow_id, chunk)
-            if segments and segments[-1][0] is hierarchy:
-                segments[-1] = (hierarchy, segments[-1][1] + chunk)
-            else:
-                segments.append((hierarchy, chunk))
-            remaining -= chunk
-        return segments
-
-    def classify_flows_batch(
-        self,
-        flow_ids: Union[Sequence[int], np.ndarray],
-        sizes: Union[Sequence[int], np.ndarray],
-        config: MonitoringConfig,
-    ) -> List[List[Tuple[FlowHierarchy, int]]]:
-        """Classify many flows at once — bit-identical to sequential calls.
-
-        Equivalent to ``[self.classify_flow_packets(f, s, config) for f, s in
-        zip(flow_ids, sizes)]`` (list-of-segments view over
-        :meth:`classify_flows_arrays`).
-        """
-        return self.classify_flows_arrays(flow_ids, sizes, config).segments_list()
-
     def classify_flows_arrays(
         self,
         flow_ids: Union[Sequence[int], np.ndarray],
@@ -341,45 +260,6 @@ class ClassifiedBatch:
     hh: np.ndarray
     packets: int
     flows_seen: int
-
-    def segments_at(self, index: int) -> List[Tuple[FlowHierarchy, int]]:
-        """Ordered hierarchy segments of one flow (LL, HL, HH; zeros omitted)."""
-        segments: List[Tuple[FlowHierarchy, int]] = []
-        count = int(self.ll[index])
-        if count:
-            hierarchy = (
-                FlowHierarchy.SAMPLED_LL
-                if self.sampled[index]
-                else FlowHierarchy.NON_SAMPLED_LL
-            )
-            segments.append((hierarchy, count))
-        count = int(self.hl[index])
-        if count:
-            segments.append((FlowHierarchy.HL_CANDIDATE, count))
-        count = int(self.hh[index])
-        if count:
-            segments.append((FlowHierarchy.HH_CANDIDATE, count))
-        return segments
-
-    def segments_list(self) -> List[List[Tuple[FlowHierarchy, int]]]:
-        """Per-flow segment lists (the scalar-compatible view)."""
-        s_ll = FlowHierarchy.SAMPLED_LL
-        ns_ll = FlowHierarchy.NON_SAMPLED_LL
-        hl_h = FlowHierarchy.HL_CANDIDATE
-        hh_h = FlowHierarchy.HH_CANDIDATE
-        results: List[List[Tuple[FlowHierarchy, int]]] = []
-        for ll_c, hl_c, hh_c, sampled in zip(
-            self.ll.tolist(), self.hl.tolist(), self.hh.tolist(), self.sampled.tolist()
-        ):
-            segments: List[Tuple[FlowHierarchy, int]] = []
-            if ll_c:
-                segments.append((s_ll if sampled else ns_ll, ll_c))
-            if hl_c:
-                segments.append((hl_h, hl_c))
-            if hh_c:
-                segments.append((hh_h, hh_c))
-            results.append(segments)
-        return results
 
     def grouped_arrays(self) -> List[Tuple[FlowHierarchy, np.ndarray, np.ndarray]]:
         """Per-hierarchy ``(flow_ids, counts)`` arrays for the encoders."""

@@ -167,49 +167,17 @@ class EdgeSwitch:
     # ------------------------------------------------------------------ #
     # packet processing
     # ------------------------------------------------------------------ #
-    def process_flow_upstream(self, flow_id: int, num_packets: int) -> HierarchySegments:
-        """Process ``num_packets`` of one flow entering the network here.
-
-        Returns the hierarchy segments assigned at the ingress, which the
-        simulator carries to the egress switch (the testbed carries the
-        hierarchy in ToS bits / INT metadata).
-        """
-        if num_packets <= 0:
-            return []
-        group = self._active
-        segments = group.classifier.classify_flow_packets(
-            flow_id, num_packets, group.config
-        )
-        for hierarchy, count in segments:
-            group.upstream.encode(flow_id, count, hierarchy)
-            self.stats.per_hierarchy_packets[hierarchy] += count
-        self.stats.packets_upstream += num_packets
-        self.stats.flows_seen += 1
-        return segments
-
-    def process_flow_downstream(self, flow_id: int, segments: HierarchySegments) -> None:
-        """Process packets of one flow exiting the network here.
-
-        ``segments`` is the (possibly loss-reduced) hierarchy breakdown carried
-        from the ingress switch.
-        """
-        group = self._active
-        for hierarchy, count in segments:
-            if count <= 0:
-                continue
-            group.downstream.encode(flow_id, count, hierarchy)
-            self.stats.packets_downstream += count
-
-    # ------------------------------------------------------------------ #
-    # batched packet processing (vectorized backend)
-    # ------------------------------------------------------------------ #
     def process_flows_upstream_arrays(self, flow_ids, sizes) -> "ClassifiedBatch":
-        """Batched upstream processing in array form (the hot path).
+        """Process a batch of flows entering the network here, in array form.
 
-        Bit-identical to calling :meth:`process_flow_upstream` per flow in
-        order: the classifier resolves order-dependence with grouped prefix
-        sums, and the per-hierarchy Fermat encoders ingest each hierarchy's
-        segments in one vectorized insert (Fermat encoding is commutative).
+        Equivalent to sending each flow's packets through the classifier and
+        the upstream encoder one at a time, in batch order: the classifier
+        resolves order-dependence with grouped prefix sums, and the
+        per-hierarchy Fermat encoders ingest each hierarchy's segments in one
+        vectorized insert (Fermat encoding is commutative).  The returned
+        batch holds each flow's hierarchy split, which the simulator carries
+        to the egress switch (the testbed carries the hierarchy in ToS bits /
+        INT metadata).
         """
         group = self._active
         batch = group.classifier.classify_flows_arrays(flow_ids, sizes, group.config)
@@ -222,74 +190,22 @@ class EdgeSwitch:
             group.upstream.encode_batch(hierarchy, ids, counts)
         return batch
 
-    def process_flows_upstream(
-        self, flow_ids: List[int], sizes: List[int]
-    ) -> List[HierarchySegments]:
-        """Batched :meth:`process_flow_upstream`; returns per-flow segments."""
-        return self.process_flows_upstream_arrays(flow_ids, sizes).segments_list()
-
     def process_flows_downstream_arrays(
         self,
         groups: List[Tuple[FlowHierarchy, "np.ndarray", "np.ndarray"]],
         packets: int,
     ) -> None:
-        """Batched downstream processing of pre-grouped (hierarchy, ids, counts).
+        """Process packets exiting the network here, pre-grouped as
+        ``(hierarchy, ids, counts)`` from the loss-reduced hierarchy split
+        carried from the ingress switch.
 
         ``packets`` is the total delivered packet count across the groups
-        (including non-sampled LL, which is counted but never encoded —
-        mirroring the scalar per-segment statistics).
+        (including non-sampled LL, which is counted but never encoded).
         """
         group = self._active
         self.stats.packets_downstream += packets
         for hierarchy, ids, counts in groups:
             if len(ids):
-                group.downstream.encode_batch(hierarchy, ids, counts)
-
-    def process_flows_downstream(
-        self,
-        flow_ids: List[int],
-        segments_list: List[HierarchySegments],
-    ) -> None:
-        """Batched :meth:`process_flow_downstream` over many flows at once."""
-        group = self._active
-        hh = FlowHierarchy.HH_CANDIDATE
-        hl = FlowHierarchy.HL_CANDIDATE
-        s_ll = FlowHierarchy.SAMPLED_LL
-        ns_ll = FlowHierarchy.NON_SAMPLED_LL
-        hh_ids: List[int] = []
-        hh_counts: List[int] = []
-        hl_ids: List[int] = []
-        hl_counts: List[int] = []
-        sll_ids: List[int] = []
-        sll_counts: List[int] = []
-        nsll_ids: List[int] = []
-        nsll_counts: List[int] = []
-        packets_downstream = 0
-        for flow_id, segments in zip(flow_ids, segments_list):
-            for hierarchy, count in segments:
-                if count <= 0:
-                    continue
-                if hierarchy is hh:
-                    hh_ids.append(flow_id)
-                    hh_counts.append(count)
-                elif hierarchy is hl:
-                    hl_ids.append(flow_id)
-                    hl_counts.append(count)
-                elif hierarchy is s_ll:
-                    sll_ids.append(flow_id)
-                    sll_counts.append(count)
-                else:
-                    nsll_ids.append(flow_id)
-                    nsll_counts.append(count)
-                packets_downstream += count
-        self.stats.packets_downstream += packets_downstream
-        for hierarchy, ids, counts in (
-            (hh, hh_ids, hh_counts),
-            (hl, hl_ids, hl_counts),
-            (s_ll, sll_ids, sll_counts),
-            (ns_ll, nsll_ids, nsll_counts),
-        ):
-            if ids:
                 group.downstream.encode_batch(hierarchy, ids, counts)
 
     def query_flow_size(self, flow_id: int) -> int:

@@ -2,7 +2,7 @@
 
 from .faults import LinkFailure, RandomBlackhole, SwitchDrop, apply_faults, victims_by_cause
 from .routing import EcmpRouter
-from .simulator import EpochTruth, NetworkSimulator, build_testbed_simulator, distribute_losses
+from .simulator import EpochTruth, NetworkSimulator, build_testbed_simulator
 from .topology import FatTreeSpec, FatTreeTopology, NodeId
 
 __all__ = [
@@ -17,6 +17,5 @@ __all__ = [
     "SwitchDrop",
     "apply_faults",
     "build_testbed_simulator",
-    "distribute_losses",
     "victims_by_cause",
 ]

@@ -14,9 +14,10 @@ dropped before the controller collects the epoch's sketches, matching the
 
 Loss draws use *counter-based* RNG sub-streams: every victim flow's draws are
 a pure function of ``(simulator seed, epoch index, trace position)``, so any
-partition of the trace — scalar, batched, or sharded across worker processes —
-produces bit-identical loss placement.  This is the same derive-before-dispatch
-seeding discipline ``SweepRunner`` uses for sweep points.
+partition of the trace — one batch per switch, or sharded across worker
+processes — produces bit-identical loss placement.  This is the same
+derive-before-dispatch seeding discipline ``SweepRunner`` uses for sweep
+points.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from ..dataplane.hierarchy import FlowHierarchy
 from ..dataplane.switch import EdgeSwitch, HierarchySegments
 from ..obs.tracing import NULL_TRACER
-from ..traffic.flow import FlowRecord, Trace, TraceColumns
+from ..traffic.flow import Trace, TraceColumns
 from .routing import EcmpRouter
 from .topology import FatTreeTopology, NodeId
 
@@ -71,7 +72,7 @@ _INV_2_53 = 2.0 ** -53
 
 
 def mix64(value: int) -> int:
-    """SplitMix64 finalizer: avalanche a 64-bit value (scalar reference)."""
+    """SplitMix64 finalizer: avalanche a 64-bit value."""
     value &= _U64
     value = ((value ^ (value >> 30)) * _MIX_1) & _U64
     value = ((value ^ (value >> 27)) * _MIX_2) & _U64
@@ -83,17 +84,13 @@ def epoch_loss_key(seed: int, epoch: int) -> int:
     return mix64((mix64(seed & _U64) + (epoch + 1) * _KEY_GAMMA) & _U64)
 
 
-def loss_uniform(key: int, position: int, slot: int) -> float:
-    """One uniform in [0, 1) keyed by (epoch key, trace position, segment slot)."""
-    z = mix64((key + position * _POS_STRIDE + slot * _SLOT_STRIDE) & _U64)
-    return (z >> 11) * _INV_2_53
-
-
 def loss_uniforms(key: int, positions: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`loss_uniform`: shape ``(len(positions), MAX_LOSS_SEGMENTS)``.
+    """Uniforms in [0, 1), shape ``(len(positions), MAX_LOSS_SEGMENTS)``.
 
-    Bit-identical to the scalar reference — the uint64 array arithmetic wraps
-    mod 2**64 exactly like the masked Python-int path.
+    Entry ``[r, slot]`` is keyed by (epoch key, trace position
+    ``positions[r]``, segment slot): the SplitMix64 finalizer of
+    ``key + position * _POS_STRIDE + slot * _SLOT_STRIDE``, whose top 53
+    bits become the uniform.  The uint64 array arithmetic wraps mod 2**64.
     """
     positions = np.asarray(positions, dtype=np.uint64).reshape(-1, 1)
     slots = np.arange(MAX_LOSS_SEGMENTS, dtype=np.uint64).reshape(1, -1)
@@ -139,55 +136,8 @@ def _hypergeometric_u(u: float, population: int, successes: int, draws: int) -> 
     return k
 
 
-def _hypergeometric(
-    rng: random.Random, population: int, successes: int, draws: int
-) -> int:
-    """Exact hypergeometric sample: successes seen in ``draws`` of ``population``.
-
-    Stateful-RNG variant (one ``rng.random()`` consumed only when the support
-    is non-degenerate, preserving the historical draw order).
-    """
-    lower = max(0, draws - (population - successes))
-    upper = min(draws, successes)
-    if lower >= upper:
-        return lower
-    return _hypergeometric_u(rng.random(), population, successes, draws)
-
-
 def _log_comb(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
-def distribute_losses(
-    segments: HierarchySegments, lost_packets: int, rng: random.Random
-) -> HierarchySegments:
-    """Remove ``lost_packets`` packets uniformly at random from the segments.
-
-    Returns the *delivered* segments (same hierarchy order, reduced counts).
-    Losses land on packets uniformly, so each segment loses a hypergeometric
-    share — drawn directly per segment rather than per packet, which keeps the
-    cost proportional to the number of segments (a handful per flow) instead
-    of the flow's packet count.  The total delivered count is always exactly
-    ``total - lost_packets``: the final segment's draw is forced by the
-    degenerate support bound.
-
-    This is the stateful-RNG variant used by :meth:`NetworkSimulator.transmit_flow`
-    (and direct API callers); the epoch paths use
-    :func:`distribute_losses_uniform` with position-keyed uniforms instead.
-    """
-    total = sum(count for _, count in segments)
-    lost_packets = max(0, min(lost_packets, total))
-    if lost_packets == 0:
-        return list(segments)
-    remaining_total = total
-    remaining_losses = lost_packets
-    delivered: HierarchySegments = []
-    for hierarchy, count in segments:
-        losses_here = _hypergeometric(rng, remaining_total, remaining_losses, count)
-        delivered.append((hierarchy, count - losses_here))
-        remaining_total -= count
-        remaining_losses -= losses_here
-    return delivered
 
 
 def distribute_losses_uniform(
@@ -195,12 +145,17 @@ def distribute_losses_uniform(
     lost_packets: int,
     uniforms: Sequence[float],
 ) -> HierarchySegments:
-    """:func:`distribute_losses` driven by pre-drawn per-slot uniforms.
+    """Remove ``lost_packets`` packets uniformly at random from the segments.
 
-    ``uniforms[j]`` feeds segment ``j``'s hypergeometric draw (a flow has at
-    most :data:`MAX_LOSS_SEGMENTS` segments).  Because every uniform is
-    indexed by its slot — never consumed from shared stateful RNG — any
-    partition of the trace draws identical losses for identical flows.
+    Returns the *delivered* segments (same hierarchy order, reduced counts).
+    Losses land on packets uniformly, so each segment loses a hypergeometric
+    share, drawn per segment rather than per packet: the cost follows the
+    number of segments (at most :data:`MAX_LOSS_SEGMENTS`), not the flow's
+    packet count.  ``uniforms[j]`` feeds segment ``j``'s draw.  The total
+    delivered is always exactly ``total - lost_packets``: the last segment's
+    draw is forced by its degenerate support.  Because every uniform is
+    indexed by its slot, never consumed from a stateful RNG, any partition
+    of the trace draws identical losses for identical flows.
     """
     total = sum(count for _, count in segments)
     lost_packets = max(0, min(lost_packets, total))
@@ -220,7 +175,7 @@ def distribute_losses_uniform(
 
 
 # --------------------------------------------------------------------------- #
-# column-level epoch helpers (shared by the batched path and the shard workers)
+# column-level epoch helpers (shared by the serial epoch and the shard workers)
 # --------------------------------------------------------------------------- #
 def endpoint_switch_indices(
     columns: TraceColumns, num_hosts: int, host_edge: np.ndarray
@@ -312,8 +267,8 @@ def downstream_groups(
 ) -> Tuple[list, int]:
     """Pre-grouped (hierarchy, ids, counts) for one egress switch.
 
-    Group order (HH, HL, sampled-LL, non-sampled-LL) matches the scalar
-    per-segment encode order, so the batched insert is bit-identical.
+    Groups come in a fixed order (HH, HL, sampled-LL, non-sampled-LL), so
+    every partition of the egress switches inserts identically.
     """
     s_ll = FlowHierarchy.SAMPLED_LL
     ns_ll = FlowHierarchy.NON_SAMPLED_LL
@@ -388,49 +343,21 @@ class NetworkSimulator:
         return self.switches[node]
 
     # ------------------------------------------------------------------ #
-    def transmit_flow(self, flow: FlowRecord) -> Tuple[HierarchySegments, int]:
-        """Send one flow through the network; returns (delivered segments, losses).
-
-        Direct-API variant with stateful loss draws from the simulator RNG.
-        The epoch paths (:meth:`run_epoch`) use position-keyed sub-streams
-        instead, so epoch replays are partition-independent.
-        """
-        src, dst = self._flow_endpoints(flow)
-        ingress = self.edge_switch_for_host(src)
-        egress = self.edge_switch_for_host(dst)
-        segments = ingress.process_flow_upstream(flow.flow_id, flow.size)
-        lost = flow.lost_packets if flow.is_victim else 0
-        delivered = distribute_losses(segments, lost, self._rng)
-        egress.process_flow_downstream(flow.flow_id, delivered)
-        return delivered, lost
-
-    def _flow_endpoints(self, flow: FlowRecord) -> Tuple[int, int]:
-        src = flow.src_host if flow.src_host is not None else 0
-        dst = (
-            flow.dst_host
-            if flow.dst_host is not None
-            else (src + 1) % self.topology.num_hosts
-        )
-        return src, dst
-
     def run_epoch(
         self,
         trace: Trace,
-        batched: bool = True,
         shards: Optional[int] = None,
         tracer: Optional[object] = None,
     ) -> EpochTruth:
         """Replay a whole trace as one epoch and return its ground truth.
 
-        ``batched=True`` (the default) routes the trace through the vectorized
-        pipeline: flows are grouped per ingress/egress edge switch, classified
-        and encoded with the NumPy sketch backend, and losses are drawn per
-        segment.  ``batched=False`` is the scalar reference path.  ``shards=N``
-        fans the epoch out over a persistent worker pool (one shard owns a set
-        of edge switches) and merges the shard-local sketches centrally.  All
-        three paths produce bit-identical sketch state and ground truth: loss
-        draws are keyed on (seed, epoch, trace position), never on execution
-        order.
+        Flows are grouped per ingress/egress edge switch, classified and
+        encoded with the NumPy sketch backend, and losses are drawn per
+        segment.  ``shards=N`` fans the epoch out over a persistent worker
+        pool (one shard owns a set of edge switches) and merges the
+        shard-local sketches centrally.  Both produce bit-identical sketch
+        state and ground truth: loss draws are keyed on (seed, epoch, trace
+        position), never on execution order.
 
         A flow ID that appears several times in the trace accumulates into the
         ground truth (sizes and losses are summed), matching what the sketches
@@ -442,43 +369,12 @@ class NetworkSimulator:
         self.last_merge_bytes = 0
         if shards is not None and shards > 0:
             return self._run_epoch_sharded(trace, int(shards), key, tracer, epoch)
-        if batched:
-            return self._run_epoch_batched(trace, key, tracer)
-        return self._run_epoch_scalar(trace, key)
-
-    def _run_epoch_scalar(self, trace: Trace, key: int) -> EpochTruth:
-        """Scalar reference epoch replay (one flow at a time, in trace order)."""
-        truth = EpochTruth()
-        for position, flow in enumerate(trace.flows):
-            src, dst = self._flow_endpoints(flow)
-            ingress = self.edge_switch_for_host(src)
-            egress = self.edge_switch_for_host(dst)
-            segments = ingress.process_flow_upstream(flow.flow_id, flow.size)
-            lost = flow.lost_packets if flow.is_victim else 0
-            if lost > 0:
-                uniforms = [
-                    loss_uniform(key, position, slot)
-                    for slot in range(MAX_LOSS_SEGMENTS)
-                ]
-                delivered = distribute_losses_uniform(segments, lost, uniforms)
-            else:
-                delivered = list(segments)
-            egress.process_flow_downstream(flow.flow_id, delivered)
-            truth.flow_sizes[flow.flow_id] = (
-                truth.flow_sizes.get(flow.flow_id, 0) + flow.size
-            )
-            if lost > 0:
-                truth.losses[flow.flow_id] = truth.losses.get(flow.flow_id, 0) + lost
-            ingress_node = self.topology.edge_switch_of_host(src)
-            truth.per_switch_flows[ingress_node] = (
-                truth.per_switch_flows.get(ingress_node, 0) + 1
-            )
-        return truth
+        return self._run_epoch_batched(trace, key, tracer)
 
     def _run_epoch_batched(
         self, trace: Trace, key: int, tracer: Optional[object] = None
     ) -> EpochTruth:
-        """Vectorized epoch replay (same results as the scalar reference).
+        """Vectorized epoch replay in this process.
 
         Upstream processing is grouped per ingress switch (each switch's flows
         keep their trace order, and switches do not share classifier state, so

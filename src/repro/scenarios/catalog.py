@@ -696,97 +696,6 @@ def ablation_fermat_point(params: Dict[str, Any], seed: int) -> List[Dict[str, A
 # Backend performance
 # --------------------------------------------------------------------------- #
 @scenario(
-    "backend_speedup",
-    title="batched NumPy epoch pipeline vs. the scalar reference",
-    params=dict(flows=100_000, loss_rate=0.02, victim_divisor=50, sim_seed=7, repeats=2),
-    seed=3,
-    smoke=dict(flows=2000, repeats=1),
-    tags=("bench",),
-)
-def backend_speedup_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
-    """Wall-time and bit-identity of batched vs. scalar ``run_epoch``."""
-    from ..dataplane.config import MonitoringConfig, SwitchResources
-    from ..network.simulator import build_testbed_simulator
-    from ..traffic.generator import generate_caida_like_trace
-
-    def fresh_simulator():
-        resources = SwitchResources()
-        config = MonitoringConfig(
-            layout=resources.ill_layout,
-            threshold_high=64,
-            threshold_low=8,
-            sample_rate=0.75,
-        )
-        return build_testbed_simulator(
-            resources=resources, config=config, seed=params["sim_seed"]
-        )
-
-    trace = generate_caida_like_trace(
-        params["flows"],
-        victim_flows=max(1, params["flows"] // params["victim_divisor"]),
-        loss_rate=params["loss_rate"],
-        seed=seed,
-    )
-
-    def timed_epoch(batched: bool):
-        # Best-of-N over fresh simulators: the epoch is deterministic, so
-        # repeats only filter scheduler noise out of the wall time.
-        best = float("inf")
-        for _ in range(max(1, params["repeats"])):
-            simulator = fresh_simulator()
-            start = time.perf_counter()
-            truth = simulator.run_epoch(trace, batched=batched)
-            best = min(best, time.perf_counter() - start)
-        return simulator, truth, best
-
-    scalar_sim, scalar_truth, scalar_seconds = timed_epoch(batched=False)
-    batched_sim, batched_truth, batched_seconds = timed_epoch(batched=True)
-
-    identical = (
-        batched_truth.flow_sizes == scalar_truth.flow_sizes
-        and batched_truth.losses == scalar_truth.losses
-        and batched_truth.per_switch_flows == scalar_truth.per_switch_flows
-        and _decode_state(batched_sim) == _decode_state(scalar_sim)
-    )
-    return {
-        "rows": [
-            {
-                "flows": params["flows"],
-                "packets": trace.num_packets(),
-                "scalar_seconds": scalar_seconds,
-                "batched_seconds": batched_seconds,
-                "speedup": scalar_seconds / max(batched_seconds, 1e-9),
-            }
-        ],
-        "extras": {"identical": identical},
-    }
-
-
-def _decode_state(simulator):
-    """Decode every encoder part of every switch (plus classifier counters)."""
-    state = {}
-    for node, switch in sorted(simulator.switches.items()):
-        group = switch.end_epoch()
-        towers = tuple(
-            tuple(group.classifier.tower.counter_array(level).tolist())
-            for level in range(len(group.classifier.tower.levels))
-        )
-        decodes = {}
-        for direction, encoder in (("up", group.upstream), ("down", group.downstream)):
-            for name in ("hh", "hl", "ll"):
-                part = encoder.parts.part(name)
-                if part is None:
-                    continue
-                result = part.decode_nondestructive()
-                decodes[(direction, name)] = (
-                    result.success,
-                    tuple(sorted(result.flows.items())),
-                )
-        state[node] = (towers, decodes)
-    return state
-
-
-@scenario(
     "fabric_scale",
     title="large-fabric epochs over the (optionally sharded) data plane",
     params=dict(

@@ -5,7 +5,6 @@ from .distributions import (
     FlowSizeDistribution,
     empirical_cdf,
     get_distribution,
-    zipf_sizes,
     zipf_sizes_array,
 )
 from .flow import (
@@ -25,7 +24,6 @@ from .generator import (
     ground_truth_heavy_changes,
     ground_truth_heavy_hitters,
     largest_flows,
-    make_flow_id,
     restrict_to_flows,
     take_flows,
 )
@@ -59,11 +57,9 @@ __all__ = [
     "inspect_binary_trace",
     "is_binary_trace",
     "largest_flows",
-    "make_flow_id",
     "pack_flow_ids",
     "restrict_to_flows",
     "take_flows",
     "write_binary_trace",
-    "zipf_sizes",
     "zipf_sizes_array",
 ]

@@ -145,41 +145,19 @@ def get_distribution(name: str) -> FlowSizeDistribution:
     return FlowSizeDistribution(key, tuple(_CDF_CONTROL_POINTS[key]))
 
 
-def zipf_sizes(num_flows: int, alpha: float = 1.1, total_packets: int | None = None,
-               rng: random.Random | None = None) -> List[int]:
-    """Zipf-distributed flow sizes approximating the CAIDA trace skew.
-
-    The CAIDA 2018 slice used in the paper has 100K flows and 5.3M packets
-    (mean ≈ 53 packets/flow) with a heavy-tailed size distribution; a Zipf law
-    over flow ranks reproduces that shape.  When ``total_packets`` is given the
-    sizes are rescaled to sum approximately to it.
-    """
-    if num_flows <= 0:
-        raise ValueError("num_flows must be positive")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    rng = rng or random.Random(0)
-    raw = [1.0 / ((rank + 1) ** alpha) for rank in range(num_flows)]
-    if total_packets is None:
-        total_packets = num_flows * 53
-    scale = total_packets / sum(raw)
-    sizes = [max(1, int(round(value * scale))) for value in raw]
-    # Small random perturbation so equal-rank ties do not produce identical sizes.
-    return [max(1, size + rng.randint(0, 1)) for size in sizes]
-
-
 def zipf_sizes_array(
     num_flows: int,
     alpha: float = 1.1,
     total_packets: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Vectorized :func:`zipf_sizes`: the columnar generator's CAIDA sizes.
+    """Zipf-distributed flow sizes approximating the CAIDA trace skew.
 
-    Same Zipf-over-ranks shape and the same ±1 tie-breaking perturbation, but
-    computed as one array expression with a NumPy generator (so the exact draws
-    differ from the ``random.Random``-based reference; the distribution and
-    total are identical).
+    The CAIDA 2018 slice used in the paper has 100K flows and 5.3M packets
+    (mean ≈ 53 packets/flow) with a heavy-tailed size distribution; a Zipf law
+    over flow ranks reproduces that shape.  When ``total_packets`` is given
+    the sizes are rescaled to sum approximately to it.  A random +0/+1 per
+    flow keeps equal-rank ties from producing identical sizes.
     """
     if num_flows <= 0:
         raise ValueError("num_flows must be positive")

@@ -11,30 +11,21 @@ Two generators cover the paper's two evaluation settings:
   set of victim flows whose packets are dropped at a configured loss rate.
 
 Both build :class:`~repro.traffic.flow.TraceColumns` directly with vectorized
-NumPy RNG draws (``backend="columns"``, the default) — no per-flow Python
-objects are ever created.  ``backend="rows"`` is the retained row-object
-reference: the original ``random.Random`` per-flow path, producing the exact
-pre-refactor traces.  The two backends draw from different RNG streams, so
-their traces differ draw-for-draw while matching in distribution; property
-tests assert that *any* given trace produces bit-identical results whether it
-is consumed through rows or columns.
+NumPy RNG draws; no per-flow Python objects are ever created.  Hand-built
+traces of :class:`~repro.traffic.flow.FlowRecord` rows replay the same way
+(their columns are built on first use).
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
-from .distributions import (
-    FlowSizeDistribution,
-    get_distribution,
-    zipf_sizes,
-    zipf_sizes_array,
-)
-from .flow import FlowKey, FlowRecord, Trace, TraceColumns
+from .distributions import FlowSizeDistribution, get_distribution, zipf_sizes_array
+from .flow import Trace, TraceColumns
 
 
 def sample_binomial(rng: random.Random, n: int, p: float) -> int:
@@ -73,37 +64,6 @@ def _log_comb(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-def _binomial_losses(size: int, loss_rate: float, rng: random.Random) -> int:
-    """Number of lost packets of a flow of ``size`` packets at ``loss_rate``.
-
-    One exact binomial draw per flow (not a coin flip per packet).  At least
-    one packet is lost for a designated victim flow so that every victim is
-    observable, matching the testbed's proactive ECN-drop control.
-    """
-    if loss_rate <= 0 or size <= 0:
-        return 0
-    return max(1, min(size, sample_binomial(rng, size, loss_rate)))
-
-
-def _assign_hosts(rng: random.Random, num_hosts: int) -> tuple[int, int]:
-    src = rng.randrange(num_hosts)
-    dst = rng.randrange(num_hosts)
-    while dst == src and num_hosts > 1:
-        dst = rng.randrange(num_hosts)
-    return src, dst
-
-
-def make_flow_id(index: int, seed: int = 0) -> int:
-    """A deterministic synthetic 32-bit flow identifier (source-IP style)."""
-    rng = random.Random((seed << 32) ^ index)
-    return rng.randrange(1, 1 << 32)
-
-
-def _validate_backend(backend: str) -> None:
-    if backend not in ("columns", "rows"):
-        raise ValueError("backend must be 'columns' or 'rows'")
-
-
 def generate_caida_like_trace(
     num_flows: int,
     total_packets: Optional[int] = None,
@@ -112,7 +72,6 @@ def generate_caida_like_trace(
     victim_selection: str = "largest",
     alpha: float = 1.1,
     seed: int = 0,
-    backend: str = "columns",
 ) -> Trace:
     """Synthesise a CAIDA-like trace with 32-bit flow IDs.
 
@@ -130,29 +89,16 @@ def generate_caida_like_trace(
     victim_selection:
         ``"largest"`` (the paper marks the largest flows as victims) or
         ``"random"``.
-    backend:
-        ``"columns"`` (default) builds the trace as arrays with vectorized RNG
-        draws; ``"rows"`` is the retained per-flow ``random.Random`` reference.
     """
     if num_flows <= 0:
         raise ValueError("num_flows must be positive")
     if victim_flows < 0 or victim_flows > num_flows:
         raise ValueError("victim_flows must be between 0 and num_flows")
-    _validate_backend(backend)
-    if backend == "rows":
-        rng = random.Random(seed)
-        sizes = zipf_sizes(num_flows, alpha=alpha, total_packets=total_packets, rng=rng)
-        flows = [
-            FlowRecord(flow_id=make_flow_id(index, seed), size=size)
-            for index, size in enumerate(sizes)
-        ]
-        _mark_victims(flows, victim_flows, loss_rate, victim_selection, rng)
-        return Trace(flows=flows)
     rng = np.random.Generator(np.random.PCG64(seed))
     sizes = zipf_sizes_array(num_flows, alpha=alpha, total_packets=total_packets, rng=rng)
-    # Source-IP style IDs: uniform over the 32-bit space.  Collisions are kept
-    # (as the row reference keeps make_flow_id collisions): duplicate IDs
-    # accumulate in the ground truth exactly as the sketches see them.
+    # Source-IP style IDs: uniform over the 32-bit space.  Collisions are
+    # kept: duplicate IDs accumulate in the ground truth exactly as the
+    # sketches see them.
     flow_ids = rng.integers(1, 1 << 32, num_flows, dtype=np.uint64)
     columns = TraceColumns(
         flow_ids=flow_ids,
@@ -176,36 +122,21 @@ def generate_workload(
     victim_selection: str = "random",
     seed: int = 0,
     use_five_tuple: bool = True,
-    backend: str = "columns",
 ) -> Trace:
     """Generate a testbed-style workload from a named distribution.
 
     Flows get 5-tuple IDs (104-bit packed) by default, mirroring the testbed;
     source and destination hosts are chosen uniformly so every server sends and
-    receives roughly the same number of flows.  ``backend="columns"`` (default)
-    builds the trace columnar with vectorized draws; ``backend="rows"`` is the
-    retained per-flow reference path.
+    receives roughly the same number of flows.
     """
     if num_flows <= 0:
         raise ValueError("num_flows must be positive")
     if not 0.0 <= victim_ratio <= 1.0:
         raise ValueError("victim_ratio must be in [0, 1]")
-    _validate_backend(backend)
     distribution = (
         workload if isinstance(workload, FlowSizeDistribution) else get_distribution(workload)
     )
     victim_count = int(round(victim_ratio * num_flows))
-    if backend == "rows":
-        rng = random.Random(seed)
-        flows: List[FlowRecord] = []
-        used_ids: set[int] = set()
-        for index in range(num_flows):
-            size = distribution.sample(rng)
-            src, dst = _assign_hosts(rng, num_hosts)
-            flow_id = _unique_flow_id(rng, used_ids, src, dst, use_five_tuple)
-            flows.append(FlowRecord(flow_id=flow_id, size=size, src_host=src, dst_host=dst))
-        _mark_victims(flows, victim_count, loss_rate, victim_selection, rng)
-        return Trace(flows=flows)
     rng = np.random.Generator(np.random.PCG64(seed))
     sizes = distribution.sample_array(rng.random(num_flows))
     src = rng.integers(0, num_hosts, num_flows)
@@ -294,57 +225,12 @@ def _mark_victims_columns(
         raise ValueError("victim_selection must be 'largest' or 'random'")
     sizes = columns.sizes[chosen]
     lost = rng.binomial(sizes, loss_rate)
-    # Every designated victim loses at least one packet (observability),
-    # matching _binomial_losses in the row reference.
+    # Every designated victim loses at least one packet, so every victim is
+    # observable (the testbed's proactive ECN-drop control).
     lost = np.minimum(sizes, np.maximum(1, lost))
     columns.is_victim[chosen] = True
     columns.loss_rate[chosen] = loss_rate
     columns.lost_packets[chosen] = lost
-
-
-# --------------------------------------------------------------------------- #
-# row-reference helpers
-# --------------------------------------------------------------------------- #
-def _unique_flow_id(
-    rng: random.Random, used: set[int], src: int, dst: int, use_five_tuple: bool
-) -> int:
-    while True:
-        if use_five_tuple:
-            key = FlowKey(
-                src_ip=(10 << 24) | (src << 8) | rng.randrange(1, 255),
-                dst_ip=(10 << 24) | (dst << 8) | rng.randrange(1, 255),
-                src_port=rng.randrange(1024, 65536),
-                dst_port=rng.randrange(1024, 65536),
-                protocol=17,
-            ).packed()
-        else:
-            key = rng.randrange(1, 1 << 32)
-        if key not in used:
-            used.add(key)
-            return key
-
-
-def _mark_victims(
-    flows: List[FlowRecord],
-    victim_count: int,
-    loss_rate: float,
-    victim_selection: str,
-    rng: random.Random,
-) -> None:
-    if victim_count <= 0:
-        return
-    if victim_selection == "largest":
-        chosen = sorted(range(len(flows)), key=lambda i: flows[i].size, reverse=True)
-        chosen = chosen[:victim_count]
-    elif victim_selection == "random":
-        chosen = rng.sample(range(len(flows)), victim_count)
-    else:
-        raise ValueError("victim_selection must be 'largest' or 'random'")
-    for index in chosen:
-        flow = flows[index]
-        flow.is_victim = True
-        flow.loss_rate = loss_rate
-        flow.lost_packets = _binomial_losses(flow.size, loss_rate, rng)
 
 
 # --------------------------------------------------------------------------- #
@@ -353,8 +239,7 @@ def _mark_victims(
 def largest_flows(trace: Trace, count: int):
     """The ``count`` largest flows of a trace (paper: 'the largest 10K flows').
 
-    Returns row views in descending size order (stable among ties, like the
-    ``sorted``-based reference).
+    Returns row views in descending size order (stable among ties).
     """
     order = np.argsort(-trace.columns().sizes, kind="stable")[:count]
     flows = trace.flows

@@ -87,7 +87,7 @@ class TestRegistryCommands:
         assert "repro.scenarios registry" in out
         assert "alias" not in out
         # Every registered scenario appears, not only the paper figures.
-        for name in ("fig5", "fig6", "fig10", "workloads", "backend_speedup"):
+        for name in ("fig5", "fig6", "fig10", "workloads", "fabric_scale"):
             assert name in out
 
     def test_describe_prints_parameters(self, capsys):

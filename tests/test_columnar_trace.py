@@ -2,14 +2,16 @@
 
 The contract under test: a trace consumed through the lazy row views and the
 same trace consumed through its backing columns produce *bit-identical*
-results — EpochTruth from the simulator, records from the streaming engine —
-across seeds, ID widths, and replay formats, including a fault-schedule run.
+results — EpochTruth and sketch state from the simulator, records from the
+streaming engine — across seeds, ID widths, and replay formats, including a
+fault-schedule run.
 """
 
 import numpy as np
 import pytest
 
 from repro.dataplane.config import SwitchResources
+from repro.dataplane.sharded import collect_dataplane_state
 from repro.network.simulator import build_testbed_simulator
 from repro.stream import (
     EventSchedule,
@@ -97,26 +99,14 @@ class TestRowColumnBitIdentity:
             use_five_tuple=use_five_tuple,
         )
         row_trace = _row_rebuilt(trace)
-        scalar_sim = build_testbed_simulator(resources=RESOURCES, seed=seed)
-        batched_sim = build_testbed_simulator(resources=RESOURCES, seed=seed)
-        truth_rows = scalar_sim.run_epoch(row_trace, batched=False)
-        truth_cols = batched_sim.run_epoch(trace, batched=True)
+        rows_sim = build_testbed_simulator(resources=RESOURCES, seed=seed)
+        cols_sim = build_testbed_simulator(resources=RESOURCES, seed=seed)
+        truth_rows = rows_sim.run_epoch(row_trace)
+        truth_cols = cols_sim.run_epoch(trace)
         assert truth_rows.flow_sizes == truth_cols.flow_sizes
         assert truth_rows.losses == truth_cols.losses
         assert truth_rows.per_switch_flows == truth_cols.per_switch_flows
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_rows_backend_consumed_both_ways(self, seed):
-        # The retained rows generator feeds both pipelines identically too.
-        trace = generate_workload(
-            "VL2", num_flows=120, victim_ratio=0.15, seed=seed, backend="rows"
-        )
-        scalar_sim = build_testbed_simulator(resources=RESOURCES, seed=seed)
-        batched_sim = build_testbed_simulator(resources=RESOURCES, seed=seed)
-        truth_rows = scalar_sim.run_epoch(_row_rebuilt(trace), batched=False)
-        truth_cols = batched_sim.run_epoch(trace, batched=True)
-        assert truth_rows.flow_sizes == truth_cols.flow_sizes
-        assert truth_rows.losses == truth_cols.losses
+        assert collect_dataplane_state(rows_sim) == collect_dataplane_state(cols_sim)
 
     def _fault_schedule(self):
         return EventSchedule([
@@ -175,31 +165,19 @@ class TestRowColumnBitIdentity:
         json.dumps(sink.records)  # raises TypeError on numpy leakage
 
 
-class TestGeneratorBackends:
-    def test_backends_agree_on_invariants(self):
-        for backend in ("columns", "rows"):
-            trace = generate_workload(
-                "DCTCP", num_flows=80, victim_ratio=0.25, seed=6, backend=backend
-            )
-            assert len(trace) == 80
-            assert trace.num_victims() == 20
-            assert all(f.lost_packets >= 1 for f in trace.flows if f.is_victim)
-            assert all(f.lost_packets <= f.size for f in trace.flows)
+class TestGeneratorInvariants:
+    def test_workload_invariants(self):
+        trace = generate_workload("DCTCP", num_flows=80, victim_ratio=0.25, seed=6)
+        assert len(trace) == 80
+        assert trace.num_victims() == 20
+        assert all(f.lost_packets >= 1 for f in trace.flows if f.is_victim)
+        assert all(f.lost_packets <= f.size for f in trace.flows)
 
-    def test_caida_backends_agree_on_invariants(self):
-        for backend in ("columns", "rows"):
-            trace = generate_caida_like_trace(
-                num_flows=60, victim_flows=6, seed=7, backend=backend
-            )
-            assert len(trace) == 60
-            assert trace.num_victims() == 6
-            assert all(f.src_host is None for f in trace.flows)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            generate_workload("DCTCP", num_flows=5, backend="bogus")
-        with pytest.raises(ValueError):
-            generate_caida_like_trace(num_flows=5, backend="bogus")
+    def test_caida_invariants(self):
+        trace = generate_caida_like_trace(num_flows=60, victim_flows=6, seed=7)
+        assert len(trace) == 60
+        assert trace.num_victims() == 6
+        assert all(f.src_host is None for f in trace.flows)
 
 
 class TestColumnOps:

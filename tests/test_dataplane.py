@@ -9,6 +9,8 @@ from repro.dataplane.hierarchy import FlowHierarchy
 from repro.dataplane.switch import EdgeSwitch
 from repro.sketches.fermat import MERSENNE_PRIME_61
 
+from dataplane_reference import batch_segments, classify_packet, is_sampled
+
 
 def small_resources():
     return SwitchResources.scaled(0.05)
@@ -83,7 +85,7 @@ class TestClassifier:
             sample_rate=1.0,
         )
         flow = 12345
-        segments = classifier.classify_flow_packets(flow, 150, config)
+        segments = batch_segments(classifier.classify_flows_arrays([flow], [150], config))[0]
         hierarchy_counts = {h: c for h, c in segments}
         assert hierarchy_counts[FlowHierarchy.SAMPLED_LL] == 9
         assert hierarchy_counts[FlowHierarchy.HL_CANDIDATE] == 90
@@ -101,17 +103,17 @@ class TestClassifier:
         chunked = FlowClassifier(resources, seed=2)
         per_packet = FlowClassifier(resources, seed=2)
         flow = 777
-        segments = chunked.classify_flow_packets(flow, 40, config)
+        segments = batch_segments(chunked.classify_flows_arrays([flow], [40], config))[0]
         expanded = [h for h, count in segments for _ in range(count)]
-        singles = [per_packet.classify_packet(flow, config) for _ in range(40)]
+        singles = [classify_packet(per_packet, flow, config) for _ in range(40)]
         assert expanded == singles
 
     def test_thresholds_of_one_make_everything_hh(self):
         resources = small_resources()
         classifier = FlowClassifier(resources, seed=3)
         config = resources.initial_config()
-        segments = classifier.classify_flow_packets(1, 10, config)
-        assert segments == [(FlowHierarchy.HH_CANDIDATE, 10)]
+        segments = batch_segments(classifier.classify_flows_arrays([1], [10], config))
+        assert segments == [[(FlowHierarchy.HH_CANDIDATE, 10)]]
 
     def test_sampling_is_deterministic_per_flow(self):
         resources = small_resources()
@@ -122,7 +124,8 @@ class TestClassifier:
             threshold_low=1000,
             sample_rate=0.5,
         )
-        assert classifier.is_sampled(42, config) == classifier.is_sampled(42, config)
+        batch = classifier.classify_flows_arrays([42, 42], [1, 1], config)
+        assert batch.sampled.tolist() == [is_sampled(classifier, 42, config)] * 2
 
     def test_sampling_rate_roughly_respected(self):
         resources = small_resources()
@@ -133,8 +136,10 @@ class TestClassifier:
             threshold_low=1000,
             sample_rate=0.25,
         )
-        sampled = sum(1 for flow in range(4000) if classifier.is_sampled(flow, config))
-        assert 0.18 < sampled / 4000 < 0.32
+        flows = list(range(4000))
+        sampled = classifier.classify_flows_arrays(flows, [1] * 4000, config).sampled
+        assert sampled.tolist() == [is_sampled(classifier, flow, config) for flow in flows]
+        assert 0.18 < sampled.sum() / 4000 < 0.32
 
     def test_sample_rate_zero_and_one(self):
         resources = small_resources()
@@ -143,13 +148,16 @@ class TestClassifier:
                                threshold_high=10, threshold_low=10, sample_rate=0.0)
         high = MonitoringConfig(layout=resources.healthy_initial_layout(),
                                 threshold_high=10, threshold_low=10, sample_rate=1.0)
-        assert not any(classifier.is_sampled(flow, low) for flow in range(100))
-        assert all(classifier.is_sampled(flow, high) for flow in range(100))
+        flows, sizes = list(range(100)), [1] * 100
+        assert not classifier.classify_flows_arrays(flows, sizes, low).sampled.any()
+        assert classifier.classify_flows_arrays(flows, sizes, high).sampled.all()
 
     def test_empty_flow(self):
         resources = small_resources()
         classifier = FlowClassifier(resources, seed=7)
-        assert classifier.classify_flow_packets(1, 0, resources.initial_config()) == []
+        batch = classifier.classify_flows_arrays([1], [0], resources.initial_config())
+        assert batch_segments(batch) == [[]]
+        assert batch.flows_seen == 0
 
 
 class TestEncoders:
@@ -205,14 +213,14 @@ class TestEncoders:
 class TestEdgeSwitch:
     def test_upstream_segments_total(self):
         switch = EdgeSwitch("e0", resources=small_resources(), base_seed=1)
-        segments = switch.process_flow_upstream(123, 40)
-        assert sum(count for _, count in segments) == 40
+        batch = switch.process_flows_upstream_arrays([123], [40])
+        assert sum(count for _, count in batch_segments(batch)[0]) == 40
         assert switch.stats.packets_upstream == 40
 
     def test_downstream_encoding(self):
         switch = EdgeSwitch("e0", resources=small_resources(), base_seed=2)
-        segments = switch.process_flow_upstream(55, 10)
-        switch.process_flow_downstream(55, segments)
+        batch = switch.process_flows_upstream_arrays([55], [10])
+        switch.process_flows_downstream_arrays(batch.grouped_arrays(), batch.packets)
         assert switch.stats.packets_downstream == 10
 
     def test_config_staging_applies_next_epoch(self):
@@ -228,7 +236,7 @@ class TestEdgeSwitch:
 
     def test_rotate_returns_finished_group(self):
         switch = EdgeSwitch("e0", resources=small_resources(), base_seed=4)
-        switch.process_flow_upstream(9, 5)
+        switch.process_flows_upstream_arrays([9], [5])
         finished = switch.rotate_epoch()
         assert finished.upstream.parts.hh.decode_nondestructive().flows == {9: 5}
         # the new group is empty
@@ -249,5 +257,5 @@ class TestEdgeSwitch:
 
     def test_query_flow_size(self):
         switch = EdgeSwitch("e0", resources=small_resources(), base_seed=5)
-        switch.process_flow_upstream(77, 12)
+        switch.process_flows_upstream_arrays([77], [12])
         assert switch.query_flow_size(77) >= 12

@@ -2,14 +2,18 @@
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.dataplane.config import SwitchResources
 from repro.dataplane.hierarchy import FlowHierarchy
 from repro.dataplane.switch import EdgeSwitch
 from repro.network.routing import EcmpRouter
-from repro.network.simulator import NetworkSimulator, build_testbed_simulator, distribute_losses
+from repro.network.simulator import (
+    MAX_LOSS_SEGMENTS,
+    NetworkSimulator,
+    build_testbed_simulator,
+    distribute_losses_uniform,
+)
 from repro.network.topology import FatTreeSpec, FatTreeTopology
 from repro.traffic.flow import FlowRecord, Trace
 
@@ -85,21 +89,25 @@ class TestRouting:
         assert router.path_hops(1, 0, 1) >= 2
 
 
+def _uniforms(seed):
+    rng = random.Random(seed)
+    return [rng.random() for _ in range(MAX_LOSS_SEGMENTS)]
+
+
 class TestDistributeLosses:
     def test_total_losses_removed(self):
-        rng = random.Random(1)
         segments = [(FlowHierarchy.SAMPLED_LL, 10), (FlowHierarchy.HL_CANDIDATE, 20)]
-        delivered = distribute_losses(segments, 5, rng)
+        delivered = distribute_losses_uniform(segments, 5, _uniforms(1))
         assert sum(count for _, count in delivered) == 25
         assert all(count >= 0 for _, count in delivered)
 
     def test_zero_losses(self):
         segments = [(FlowHierarchy.HH_CANDIDATE, 7)]
-        assert distribute_losses(segments, 0, random.Random(0)) == segments
+        assert distribute_losses_uniform(segments, 0, _uniforms(0)) == segments
 
     def test_losses_capped_at_total(self):
         segments = [(FlowHierarchy.HL_CANDIDATE, 3)]
-        delivered = distribute_losses(segments, 10, random.Random(0))
+        delivered = distribute_losses_uniform(segments, 10, _uniforms(0))
         assert sum(count for _, count in delivered) == 0
 
 
@@ -142,8 +150,7 @@ class TestSimulator:
         with pytest.raises(KeyError):
             simulator.edge_switch_for_host(0)
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_duplicate_flow_ids_accumulate_in_truth(self, batched):
+    def test_duplicate_flow_ids_accumulate_in_truth(self):
         # Regression: a flow ID appearing twice used to overwrite
         # truth.flow_sizes / truth.losses instead of accumulating.
         simulator = build_testbed_simulator(resources=SwitchResources.scaled(0.05), seed=4)
@@ -156,48 +163,7 @@ class TestSimulator:
                 FlowRecord(flow_id=9, size=4, src_host=1, dst_host=5),
             ]
         )
-        truth = simulator.run_epoch(trace, batched=batched)
+        truth = simulator.run_epoch(trace)
         assert truth.flow_sizes == {7: 42, 9: 4}
         assert truth.losses == {7: 7}
         assert truth.total_lost_packets() == 7
-
-    def test_batched_epoch_matches_scalar(self):
-        trace = Trace(
-            flows=[
-                FlowRecord(flow_id=100 + i, size=(i * 13) % 40 + 1,
-                           src_host=i % 8, dst_host=(i + 3) % 8,
-                           is_victim=(i % 5 == 0), lost_packets=(i % 5 == 0) * 2)
-                for i in range(200)
-            ]
-        )
-        resources = SwitchResources.scaled(0.05)
-        scalar = build_testbed_simulator(resources=resources, seed=11)
-        batched = build_testbed_simulator(resources=resources, seed=11)
-        truth_a = scalar.run_epoch(trace, batched=False)
-        truth_b = batched.run_epoch(trace, batched=True)
-        assert truth_a.flow_sizes == truth_b.flow_sizes
-        assert truth_a.losses == truth_b.losses
-        assert truth_a.per_switch_flows == truth_b.per_switch_flows
-        for node in scalar.switches:
-            group_a = scalar.switches[node].end_epoch()
-            group_b = batched.switches[node].end_epoch()
-            assert np.array_equal(
-                group_a.classifier.tower.counter_array(0),
-                group_b.classifier.tower.counter_array(0),
-            )
-            for name in ("hh", "hl", "ll"):
-                part_a = group_a.upstream.parts.part(name)
-                part_b = group_b.upstream.parts.part(name)
-                if part_a is None:
-                    assert part_b is None
-                    continue
-                decode_a = part_a.decode_nondestructive()
-                decode_b = part_b.decode_nondestructive()
-                assert decode_a.flows == decode_b.flows
-            assert group_a.upstream.memory_bytes() == group_b.upstream.memory_bytes()
-            stats_a = scalar.switches[node].stats
-            stats_b = batched.switches[node].stats
-            assert stats_a.packets_upstream == stats_b.packets_upstream
-            assert stats_a.packets_downstream == stats_b.packets_downstream
-            assert stats_a.flows_seen == stats_b.flows_seen
-            assert stats_a.per_hierarchy_packets == stats_b.per_hierarchy_packets

@@ -1,9 +1,10 @@
 """Property tests: the vectorized NumPy backend is bit-identical to the scalar path.
 
-Every batch API (``hash_array``, ``insert_batch``, ``query_batch``, the batched
-classifier, and the batched epoch pipeline) must produce exactly the same
-state and results as the scalar reference loops, under random seeds, key
-widths up to 127 bits, and both Mersenne primes used in the repository.
+Every batch API (``hash_array``, ``insert_batch``, ``query_batch``, and the
+batched classifier) must produce exactly the same state and results as the
+scalar reference loops, under random seeds, key widths up to 127 bits, and
+both Mersenne primes used in the repository.  The classifier's per-flow walk
+lives in ``tests/dataplane_reference.py``.
 """
 
 import random
@@ -14,7 +15,7 @@ import pytest
 from repro.core.tower_fermat import TowerFermat
 from repro.dataplane.classifier import FlowClassifier
 from repro.dataplane.config import EncoderLayout, MonitoringConfig, SwitchResources
-from repro.network.simulator import _hypergeometric, distribute_losses
+from repro.network.simulator import _hypergeometric_u, distribute_losses_uniform
 from repro.dataplane.hierarchy import FlowHierarchy
 from repro.sketches.cm import CountMinSketch
 from repro.sketches.countsketch import CountSketch
@@ -25,6 +26,8 @@ from repro.sketches.fermat import (
 )
 from repro.sketches.hashing import HashFamily, KeyArray, PairwiseHash
 from repro.sketches.tower import TowerSketch
+
+from dataplane_reference import batch_segments, classify_flow_packets
 
 
 def random_flows(seed, count=400, key_bits=32, max_size=300):
@@ -183,10 +186,10 @@ class TestClassifierBatch:
         scalar = FlowClassifier(resources, seed=seed)
         batched = FlowClassifier(resources, seed=seed)
         expected = [
-            scalar.classify_flow_packets(flow_id, size, config)
+            classify_flow_packets(scalar, flow_id, size, config)
             for flow_id, size in zip(ids, sizes)
         ]
-        got = batched.classify_flows_batch(ids, sizes, config)
+        got = batch_segments(batched.classify_flows_arrays(ids, sizes, config))
         assert got == expected
         for level in range(len(resources.classifier_levels)):
             assert np.array_equal(
@@ -222,10 +225,10 @@ class TestClassifierSaturationAndGenericPaths:
         scalar = FlowClassifier(resources, seed=9)
         batched = FlowClassifier(resources, seed=9)
         expected = [
-            scalar.classify_flow_packets(flow_id, size, config)
+            classify_flow_packets(scalar, flow_id, size, config)
             for flow_id, size in zip(ids, sizes)
         ]
-        got = batched.classify_flows_batch(ids, sizes, config)
+        got = batch_segments(batched.classify_flows_arrays(ids, sizes, config))
         assert got == expected
         for level in range(len(levels)):
             assert np.array_equal(
@@ -244,7 +247,8 @@ class TestHypergeometricLosses:
             ]
             total = sum(c for _, c in segments)
             lost = rng.randrange(0, total + 3)
-            delivered = distribute_losses(segments, lost, rng)
+            uniforms = [rng.random() for _ in segments]
+            delivered = distribute_losses_uniform(segments, lost, uniforms)
             assert len(delivered) == len(segments)
             assert sum(c for _, c in delivered) == total - min(lost, total)
             assert all(0 <= c_d <= c for (_, c_d), (_, c) in zip(delivered, segments))
@@ -255,14 +259,15 @@ class TestHypergeometricLosses:
             population = rng.randrange(1, 500)
             successes = rng.randrange(0, population + 1)
             draws = rng.randrange(0, population + 1)
-            k = _hypergeometric(rng, population, successes, draws)
+            k = _hypergeometric_u(rng.random(), population, successes, draws)
             assert max(0, draws - (population - successes)) <= k <= min(draws, successes)
 
     def test_hypergeometric_mean(self):
         rng = random.Random(2)
         population, successes, draws = 100, 30, 40
         samples = [
-            _hypergeometric(rng, population, successes, draws) for _ in range(4000)
+            _hypergeometric_u(rng.random(), population, successes, draws)
+            for _ in range(4000)
         ]
         mean = sum(samples) / len(samples)
         expected = draws * successes / population

@@ -21,7 +21,7 @@ from repro.scenarios.spec import ScenarioError, coerce
 EXPECTED_SCENARIOS = {
     "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
     "workloads", "overheads", "ablation_classifier", "ablation_fermat",
-    "backend_speedup", "demo",
+    "fabric_scale", "demo",
     "stream_timeline", "stream_failover", "stream_multitenant",
     "serve_chaos",
 }

@@ -17,10 +17,8 @@ from repro.dataplane.sharded import ShardPool, collect_dataplane_state
 from repro.network.simulator import (
     MAX_LOSS_SEGMENTS,
     build_testbed_simulator,
-    distribute_losses,
     distribute_losses_uniform,
     epoch_loss_key,
-    loss_uniform,
     loss_uniforms,
 )
 from repro.network.topology import FatTreeSpec, FatTreeTopology
@@ -35,6 +33,8 @@ from repro.stream import (
     comparable,
 )
 from repro.traffic.generator import generate_workload
+
+from dataplane_reference import loss_uniform
 
 RESOURCES = SwitchResources.scaled(0.05)
 SEEDS = (1, 2, 3)
@@ -98,15 +98,6 @@ class TestLossSubStreams:
                 assert all(count >= 0 for _, count in delivered)
                 total = sum(count for _, count in segments)
                 assert sum(count for _, count in delivered) == total - min(lost, total)
-
-    def test_stateful_variant_unchanged(self):
-        import random
-
-        from repro.dataplane.hierarchy import FlowHierarchy
-
-        segments = [(FlowHierarchy.NON_SAMPLED_LL, 10), (FlowHierarchy.HH_CANDIDATE, 5)]
-        delivered = distribute_losses(segments, 5, random.Random(0))
-        assert sum(count for _, count in delivered) == 10
 
 
 class TestSerialShardedIdentity:

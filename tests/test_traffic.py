@@ -8,7 +8,7 @@ from repro.traffic.distributions import (
     WORKLOAD_NAMES,
     empirical_cdf,
     get_distribution,
-    zipf_sizes,
+    zipf_sizes_array,
 )
 from repro.traffic.flow import FlowKey, FlowRecord, Trace
 from repro.traffic.generator import (
@@ -17,7 +17,6 @@ from repro.traffic.generator import (
     ground_truth_heavy_changes,
     ground_truth_heavy_hitters,
     largest_flows,
-    make_flow_id,
     restrict_to_flows,
     sample_binomial,
 )
@@ -72,15 +71,15 @@ class TestDistributions:
         assert get_distribution("VL2").mean_estimate(samples=2000) > 1.0
 
     def test_zipf_sizes_total(self):
-        sizes = zipf_sizes(1000, total_packets=53_000)
+        sizes = zipf_sizes_array(1000, total_packets=53_000)
         assert len(sizes) == 1000
         assert abs(sum(sizes) - 53_000) / 53_000 < 0.2
 
     def test_zipf_validation(self):
         with pytest.raises(ValueError):
-            zipf_sizes(0)
+            zipf_sizes_array(0)
         with pytest.raises(ValueError):
-            zipf_sizes(10, alpha=0)
+            zipf_sizes_array(10, alpha=0)
 
     def test_empirical_cdf(self):
         cdf = empirical_cdf([1, 1, 2, 4])
@@ -217,10 +216,6 @@ class TestSampleBinomial:
         )
         total = trace.num_packets()
         assert trace.total_losses() == pytest.approx(0.2 * total, rel=0.1)
-
-    def test_make_flow_id_deterministic(self):
-        assert make_flow_id(5, seed=1) == make_flow_id(5, seed=1)
-        assert make_flow_id(5, seed=1) != make_flow_id(6, seed=1)
 
     def test_ground_truth_helpers(self):
         first = Trace(flows=[FlowRecord(1, 100), FlowRecord(2, 5)])
