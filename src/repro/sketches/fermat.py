@@ -89,9 +89,10 @@ SCALAR_TAIL_TRICKLE_ROUNDS = 3
 
 #: Default pop budget of a decode, in pops per bucket.  A decodable sketch
 #: drains in far fewer; a failing one pops until the budget runs out, so the
-#: budget sets what a failed decode costs.  On every decode of fig10 and of
-#: the benchmark workloads, 4 pops per bucket already gives the same
-#: ``success`` as 64; 2 does not.
+#: budget sets what a failed decode costs.  On fig10's decodes at 1.23
+#: buckets per flow, 4 pops per bucket already gives the same ``success`` as
+#: 64 (2 does not); 8 does on every decode of the benchmark workloads' first
+#: 24 epochs.
 DECODE_POPS_PER_BUCKET = 8
 
 #: Field widths used by the paper's CPU evaluation (32-bit count, 32-bit ID).
