@@ -128,4 +128,3 @@ def test_binary_replay_throughput_and_memory(tmp_path):
         f"exceeds the O(epoch) bound of {bound / 1e6:.1f} MB "
         f"(file is {file_bytes / 1e6:.1f} MB)"
     )
-
