@@ -14,7 +14,7 @@ from typing import Dict, Mapping, Optional
 
 from ..dataplane.config import MonitoringConfig
 from .analysis import LossReport, SwitchId
-from .tasks import SwitchView, network_flow_size
+from .tasks import SwitchView, network_flow_sizes
 
 
 @dataclass
@@ -79,8 +79,8 @@ def estimate_victim_population(
             sampled_victims[flow_id] = 0
 
     distribution: Dict[int, float] = {}
-    for flow_id in sampled_victims:
-        size = max(1, network_flow_size(views, flow_id))
+    for size in network_flow_sizes(views, sampled_victims):
+        size = max(1, size)
         distribution[size] = distribution.get(size, 0.0) + 1.0 / rate
 
     if loss_report.hl_decode_success:

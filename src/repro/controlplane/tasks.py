@@ -9,9 +9,12 @@ at its ingress switch, so per-switch results are disjoint).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, List, Mapping, Sequence
+
+import numpy as np
 
 from ..dataplane.switch import SketchGroup
+from ..sketches.hashing import KeyArray
 from ..sketches.linear_counting import estimate_cardinality
 from ..sketches.mrac import (
     distribution_entropy,
@@ -118,15 +121,44 @@ def entropy_estimate(view: SwitchView, iterations: int = 8) -> float:
 # --------------------------------------------------------------------------- #
 # network-wide synthesis
 # --------------------------------------------------------------------------- #
+def network_flow_sizes(
+    views: Mapping[SwitchId, SwitchView], flow_ids: Sequence[int]
+) -> List[int]:
+    """:func:`network_flow_size` of every flow in ``flow_ids``, in order.
+
+    The flows are hashed once per Tower level (views whose classifiers share
+    hashes, as one deployment's do, share the indices) and each view's
+    counters are gathered at once.
+    """
+    flow_ids = list(flow_ids)
+    if not views or not flow_ids:
+        return [0] * len(flow_ids)
+    keys = KeyArray(flow_ids)
+    indices_by_hashes: Dict[tuple, List[np.ndarray]] = {}
+    best = np.full(len(flow_ids), np.iinfo(np.int64).min, dtype=np.int64)
+    for view in views.values():
+        tower = view.group.classifier.tower
+        hashes = tuple(tower._hashes)
+        indices = indices_by_hashes.get(hashes)
+        if indices is None:
+            indices = indices_by_hashes[hashes] = [h.hash_array(keys) for h in hashes]
+        estimates = tower.query_indices(indices)
+        flowset = view.hh_flowset
+        if flowset:
+            for row, flow_id in enumerate(flow_ids):
+                if flow_id in flowset:
+                    estimates[row] = view.threshold_high + flowset[flow_id]
+        np.maximum(best, estimates, out=best)
+    return best.tolist()
+
+
 def network_flow_size(views: Mapping[SwitchId, SwitchView], flow_id: int) -> int:
     """Network-wide flow size: the maximum estimate over switches.
 
     Each flow is classified at exactly one ingress switch, where its estimate
     is meaningful; at every other switch the query returns (near) zero.
     """
-    if not views:
-        return 0
-    return max(flow_size_estimate(view, flow_id) for view in views.values())
+    return network_flow_sizes(views, [flow_id])[0]
 
 
 def network_heavy_hitters(

@@ -9,7 +9,14 @@ from .encoder import (
     accumulate_parts,
 )
 from .hierarchy import FlowHierarchy
-from .switch import EdgeSwitch, EpochStatistics, HierarchySegments, SketchGroup
+from .switch import (
+    EdgeSwitch,
+    EpochStatistics,
+    HierarchySegments,
+    SketchGroup,
+    process_downstream,
+    process_upstream,
+)
 
 __all__ = [
     "DownstreamFlowEncoder",
@@ -26,4 +33,6 @@ __all__ = [
     "SwitchResources",
     "UpstreamFlowEncoder",
     "accumulate_parts",
+    "process_downstream",
+    "process_upstream",
 ]

@@ -145,9 +145,11 @@ class SwitchResources:
         upstream = max(48, int(4096 * scale))
         downstream = max(36, int(3072 * scale))
         min_hl = max(6, int(512 * scale))
-        ill_hh = max(12, int(1024 * scale))
         ill_ll = max(6, int(512 * scale))
-        ill_hl = upstream - ill_hh - ill_ll
+        # Rounding can leave HL one bucket past what the downstream encoder
+        # holds next to LL; HH takes that bucket back.
+        ill_hl = min(upstream - max(12, int(1024 * scale)) - ill_ll, downstream - ill_ll)
+        ill_hh = upstream - ill_hl - ill_ll
         classifier = (
             (8, max(64, int(32768 * scale))),
             (16, max(32, int(16384 * scale))),

@@ -5,14 +5,24 @@ divided into three parts (HH, HL, LL encoders); the downstream flow encoder is
 divided into two (HL, LL).  All switches use the same division and the same
 hash seeds so that the controller can add same-named parts across switches and
 subtract downstream from upstream (section 4.2, "Packet loss detection").
+
+Because a part's hashes depend only on its name, size and the base seed, a
+flow's extended ID and bucket indices in a part are the same at every switch
+and on both sides: the downstream HL and LL parts have the upstream parts'
+seeds and sizes.  :class:`PartHashes` computes them once per epoch for all
+switches' flows, and :func:`encode_part` encodes any subset of those flows
+into the switches' copies of the part in one scatter per array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
-from ..sketches.fermat import MERSENNE_PRIME_127, FermatSketch
+import numpy as np
+
+from ..sketches.fermat import MERSENNE_PRIME_127, FermatSketch, insert_scattered
+from ..sketches.hashing import KeyArray
 from .config import EncoderLayout, SwitchResources
 from .hierarchy import FlowHierarchy
 
@@ -93,32 +103,6 @@ class UpstreamFlowEncoder:
             return
         part.insert(flow_id, count)
 
-    def _part_for(self, hierarchy: FlowHierarchy) -> Optional[FermatSketch]:
-        if hierarchy is FlowHierarchy.HH_CANDIDATE:
-            return self.parts.hh
-        if hierarchy is FlowHierarchy.HL_CANDIDATE:
-            return self.parts.hl
-        return self.parts.ll
-
-    def encode_batch(
-        self,
-        hierarchy: FlowHierarchy,
-        flow_ids: Sequence[int],
-        counts: Sequence[int],
-    ) -> None:
-        """Encode many same-hierarchy segments at once (vectorized Fermat path).
-
-        Bit-identical to per-segment :meth:`encode` calls: Fermat insertion is
-        commutative, and callers pass only positive counts of encodable
-        hierarchies (mirroring the per-packet filter).
-        """
-        if not hierarchy.encoded_upstream:
-            return
-        part = self._part_for(hierarchy)
-        if part is None or not len(flow_ids):
-            return
-        part.insert_batch(flow_ids, counts)
-
 
 class DownstreamFlowEncoder:
     """The egress-side flow encoder (HL + LL parts; HH packets use the HL part)."""
@@ -153,23 +137,6 @@ class DownstreamFlowEncoder:
             return
         part.insert(flow_id, count)
 
-    def encode_batch(
-        self,
-        hierarchy: FlowHierarchy,
-        flow_ids: Sequence[int],
-        counts: Sequence[int],
-    ) -> None:
-        """Encode many same-hierarchy segments at once (vectorized Fermat path)."""
-        if not hierarchy.encoded_downstream:
-            return
-        if hierarchy in (FlowHierarchy.HH_CANDIDATE, FlowHierarchy.HL_CANDIDATE):
-            part = self.parts.hl
-        else:
-            part = self.parts.ll
-        if part is None or not len(flow_ids):
-            return
-        part.insert_batch(flow_ids, counts)
-
 
 def empty_like_part(part: Optional[FermatSketch]) -> Optional[FermatSketch]:
     """An empty FermatSketch structurally compatible with ``part`` (or None)."""
@@ -185,3 +152,45 @@ def accumulate_parts(parts: list[Optional[FermatSketch]]) -> Optional[FermatSket
     for part in present[1:]:
         total.add(part)
     return total
+
+
+@dataclass
+class PartHashes:
+    """One encoder part's hashes of a set of flows, shared by every switch.
+
+    ``rows`` are the flows' positions in the epoch's batch (ascending),
+    ``keys`` their fingerprint-extended IDs and ``indices[i]`` their buckets
+    in array ``i``.  The extended IDs are checked against the prime only when
+    they are encoded, so hashing a superset of the flows a part encodes
+    raises nothing the encoding would not.
+    """
+
+    rows: np.ndarray
+    keys: KeyArray
+    indices: List[np.ndarray]
+
+    @classmethod
+    def of(cls, part: FermatSketch, flow_keys: KeyArray, rows: np.ndarray) -> "PartHashes":
+        keys = part.extended_keys(flow_keys.take(rows))
+        return cls(rows, keys, [h.hash_array(keys) for h in part._hashes])
+
+
+def encode_part(
+    parts: Sequence[FermatSketch],
+    owner: np.ndarray,
+    rows: np.ndarray,
+    counts: np.ndarray,
+    hashes: PartHashes,
+) -> None:
+    """Encode ``counts[k]`` packets of flow ``rows[k]`` into ``parts[owner[k]]``.
+
+    ``parts`` are every switch's copy of one part (same hashes), and
+    ``rows`` (ascending) must be among the flows ``hashes`` covers.
+    """
+    if rows.size == hashes.rows.size:
+        at = slice(None)
+        keys = hashes.keys
+    else:
+        at = np.searchsorted(hashes.rows, rows)
+        keys = hashes.keys.take(at)
+    insert_scattered(parts, owner, keys, [index[at] for index in hashes.indices], counts)

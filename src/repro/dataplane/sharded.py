@@ -2,11 +2,14 @@
 
 One *shard* owns a set of edge switches (``edge_nodes[i]`` belongs to shard
 ``i % num_shards``): it classifies and encodes every flow whose ingress (phase
-1) or egress (phase 2) switch it owns, then ships the resulting sketch state
-back as compact deltas that the parent merges into the central switches with
-the linear ``add`` algebra.  Because a switch's whole flow stream stays inside
-one shard, every classification decision — which depends on per-switch Tower
-collisions and flow order — is made exactly as in the serial batched path.
+1) or egress (phase 2) switch it owns, with the serial path's two passes
+(:func:`~repro.dataplane.switch.process_upstream` and
+:func:`~repro.dataplane.switch.process_downstream`) over its own switches,
+then ships the resulting sketch state back as compact deltas that the parent
+merges into the central switches with the linear ``add`` algebra.  Because a
+switch's whole flow stream stays inside one shard, every classification
+decision — which depends on per-switch Tower collisions and flow order — is
+made exactly as in the serial path.
 
 Transport is zero-copy both ways that matter:
 
@@ -32,10 +35,12 @@ shards:
 2. barrier (all phase-1 futures collected);
 3. every shard downstream-encodes its owned egress switches from the scratch.
 
-Workers are stateless between epochs: they rebuild fresh switches from
-(resources, base_seed, prime, per-epoch config) each phase, which is exactly
-what ``begin_epoch`` does centrally — sketch hash seeds derive from
-``base_seed`` alone, so worker-built state is bit-identical to central state.
+Workers are stateless between epochs: they rebuild fresh switches from the
+deployment's (resources, base_seed, prime) and the epoch's config each phase,
+which is exactly what ``begin_epoch`` does centrally — sketch hash seeds
+derive from ``base_seed`` alone, so worker-built state is bit-identical to
+central state.  The parent checks that the switches are one deployment
+before it dispatches an epoch, as the serial path does.
 """
 
 from __future__ import annotations
@@ -57,7 +62,9 @@ from ..traffic.store import (
     columns_from_buffer,
     pack_columns_into,
 )
-from .switch import EdgeSwitch
+from ..sketches.hashing import KeyArray
+from .classifier import ClassifiedBatch
+from .switch import EdgeSwitch, process_downstream, process_upstream
 
 _ALIGN = 64
 
@@ -89,8 +96,10 @@ class _ShardPlan:
     num_hosts: int
     edge_nodes: List[Any]
     owners: Dict[Any, int]
-    #: node -> (resources, base_seed, prime); only nodes with attached planes.
-    node_params: Dict[Any, Tuple[Any, int, int]]
+    #: Nodes with an attached data plane.
+    attached: frozenset
+    #: The deployment's (resources, base_seed, prime), shared by every switch.
+    params: Optional[Tuple[Any, int, int]]
     num_shards: int
 
 
@@ -98,22 +107,24 @@ class _ShardPlan:
 # worker side
 # --------------------------------------------------------------------------- #
 _PLAN: Optional[_ShardPlan] = None
-_NODE_INDEX: Dict[Any, int] = {}
 _HOST_EDGE: Optional[np.ndarray] = None
+#: Shard owning each edge switch, by node index.
+_SHARD_OF: Optional[np.ndarray] = None
 _SHM_CACHE: Dict[str, shared_memory.SharedMemory] = {}
 
 
 def _init_worker(plan: _ShardPlan) -> None:
-    global _PLAN, _NODE_INDEX, _HOST_EDGE
+    global _PLAN, _HOST_EDGE, _SHARD_OF
     _PLAN = plan
-    _NODE_INDEX = {node: index for index, node in enumerate(plan.edge_nodes)}
+    node_index = {node: index for index, node in enumerate(plan.edge_nodes)}
     _HOST_EDGE = np.array(
         [
-            _NODE_INDEX[plan.topology.edge_switch_of_host(host)]
+            node_index[plan.topology.edge_switch_of_host(host)]
             for host in range(plan.num_hosts)
         ],
         dtype=np.int64,
     )
+    _SHARD_OF = np.array([plan.owners[node] for node in plan.edge_nodes], dtype=np.int64)
 
 
 def _attach_buffers(
@@ -150,15 +161,12 @@ def _scratch_views(
     }
 
 
-def _owned_nodes(shard_id: int) -> List[Any]:
-    return [node for node in _PLAN.edge_nodes if _PLAN.owners[node] == shard_id]
-
-
-def _build_switch(node: Any, config: Any) -> EdgeSwitch:
-    params = _PLAN.node_params.get(node)
-    if params is None:
+def _build_switch(index: int, config: Any) -> EdgeSwitch:
+    """A fresh switch for edge node ``index`` under this epoch's ``config``."""
+    node = _PLAN.edge_nodes[index]
+    if node not in _PLAN.attached:
         raise KeyError(f"no ChameleMon data plane attached to edge switch {node}")
-    resources, base_seed, prime = params
+    resources, base_seed, prime = _PLAN.params
     return EdgeSwitch(
         node, resources=resources, config=config, base_seed=base_seed, prime=prime
     )
@@ -177,7 +185,7 @@ def _phase1_task(
     scratch_name: str,
     scratch_offsets: Dict[str, int],
     key: int,
-    configs: Dict[Any, Any],
+    config: Any,
     with_spans: bool = False,
     fault: Optional[Dict[str, Any]] = None,
 ) -> Tuple[Dict[Any, Dict[str, Any]], List[Dict[str, Any]]]:
@@ -190,7 +198,11 @@ def _phase1_task(
     (the retried epoch rewrites every scratch position, so a crash here
     leaves nothing partial behind).
     """
-    from ..network.simulator import apply_victim_losses, endpoint_switch_indices
+    from ..network.simulator import (
+        apply_victim_losses,
+        endpoint_switch_indices,
+        switches_by_index,
+    )
 
     execute_worker_fault(fault)
     phase_start = time.perf_counter_ns()
@@ -199,14 +211,14 @@ def _phase1_task(
     columns = columns_from_buffer(data.buf, data_meta)
     views = _scratch_views(scratch, data_meta["flows"], scratch_offsets)
     ingress, _ = endpoint_switch_indices(columns, _PLAN.num_hosts, _HOST_EDGE)
+    positions = np.flatnonzero(_SHARD_OF[ingress] == shard_id)
     deltas: Dict[Any, Dict[str, Any]] = {}
-    for node in _owned_nodes(shard_id):
-        positions = np.nonzero(ingress == _NODE_INDEX[node])[0]
-        if not positions.size:
-            continue
-        switch = _build_switch(node, configs.get(node))
-        batch = switch.process_flows_upstream_arrays(
-            columns.flow_ids[positions], columns.sizes[positions]
+    if positions.size:
+        switches, owner = switches_by_index(
+            ingress[positions], lambda index: _build_switch(index, config)
+        )
+        batch = process_upstream(
+            switches, owner, columns.flow_ids[positions], columns.sizes[positions]
         )
         views["ll"][positions] = batch.ll
         views["hl"][positions] = batch.hl
@@ -224,16 +236,17 @@ def _phase1_task(
             views["hh"],
             views["sampled"],
         )
-        loss_ns += time.perf_counter_ns() - loss_start
-        group = switch.end_epoch()
-        deltas[node] = {
-            "classifier": group.classifier.tower._counters,
-            "upstream": {
-                name: _part_delta(group.upstream.parts.part(name))
-                for name in ("hh", "hl", "ll")
-            },
-            "stats": switch.stats,
-        }
+        loss_ns = time.perf_counter_ns() - loss_start
+        for switch in switches:
+            group = switch.end_epoch()
+            deltas[switch.switch_id] = {
+                "classifier": group.classifier.tower._counters,
+                "upstream": {
+                    name: _part_delta(group.upstream.parts.part(name))
+                    for name in ("hh", "hl", "ll")
+                },
+                "stats": switch.stats,
+            }
     spans: List[Dict[str, Any]] = []
     if with_spans:
         spans = [
@@ -261,40 +274,40 @@ def _phase2_task(
     data_meta: Dict[str, Any],
     scratch_name: str,
     scratch_offsets: Dict[str, int],
-    configs: Dict[Any, Any],
+    config: Any,
     with_spans: bool = False,
 ) -> Tuple[Dict[Any, Dict[str, Any]], List[Dict[str, Any]]]:
     """Downstream-encode this shard's egress switches from the scratch counts."""
-    from ..network.simulator import downstream_groups, endpoint_switch_indices
+    from ..network.simulator import endpoint_switch_indices, switches_by_index
 
     phase_start = time.perf_counter_ns()
     data, scratch = _attach_buffers(data_name, scratch_name)
     columns = columns_from_buffer(data.buf, data_meta)
     views = _scratch_views(scratch, data_meta["flows"], scratch_offsets)
     _, egress = endpoint_switch_indices(columns, _PLAN.num_hosts, _HOST_EDGE)
+    positions = np.flatnonzero(_SHARD_OF[egress] == shard_id)
     deltas: Dict[Any, Dict[str, Any]] = {}
-    for node in _owned_nodes(shard_id):
-        egress_mask = egress == _NODE_INDEX[node]
-        if not egress_mask.any():
-            continue
-        switch = _build_switch(node, configs.get(node))
-        groups, packets = downstream_groups(
-            columns.flow_ids,
-            views["ll"],
-            views["hl"],
-            views["hh"],
-            views["sampled"],
-            egress_mask,
+    if positions.size:
+        switches, owner = switches_by_index(
+            egress[positions], lambda index: _build_switch(index, config)
         )
-        switch.process_flows_downstream_arrays(groups, packets)
-        group = switch.end_epoch()
-        deltas[node] = {
-            "downstream": {
-                name: _part_delta(group.downstream.parts.part(name))
-                for name in ("hl", "ll")
-            },
-            "stats": switch.stats,
-        }
+        batch = ClassifiedBatch(
+            keys=KeyArray(columns.flow_ids[positions]),
+            sampled=views["sampled"][positions],
+            ll=views["ll"][positions],
+            hl=views["hl"][positions],
+            hh=views["hh"][positions],
+        )
+        process_downstream(switches, owner, batch)
+        for switch in switches:
+            group = switch.end_epoch()
+            deltas[switch.switch_id] = {
+                "downstream": {
+                    name: _part_delta(group.downstream.parts.part(name))
+                    for name in ("hl", "ll")
+                },
+                "stats": switch.stats,
+            }
     spans: List[Dict[str, Any]] = []
     if with_spans:
         spans = [
@@ -447,10 +460,14 @@ class ShardPool:
                 node: index % num_shards
                 for index, node in enumerate(simulator.edge_nodes)
             },
-            node_params={
-                node: (switch.resources, switch._base_seed, switch._prime)
-                for node, switch in simulator.switches.items()
-            },
+            attached=frozenset(simulator.switches),
+            params=next(
+                (
+                    (switch.resources, switch._base_seed, switch._prime)
+                    for switch in simulator.switches.values()
+                ),
+                None,
+            ),
             num_shards=num_shards,
         )
         return cls(plan, num_shards, supervision=supervision, monitor=monitor)
@@ -489,7 +506,7 @@ class ShardPool:
         self,
         columns,
         key: int,
-        configs: Dict[Any, Any],
+        config: Any,
         with_spans: bool = False,
         epoch: Optional[int] = None,
         faults: Sequence[Dict[str, Any]] = (),
@@ -500,9 +517,9 @@ class ShardPool:
     ]:
         """Run one epoch over the shards; returns (up deltas, down deltas, spans).
 
-        ``configs`` maps each attached node to the MonitoringConfig governing
-        this epoch (workers rebuild switches from it each phase, mirroring the
-        central ``begin_epoch``).  Phase 1 must fully complete before phase 2
+        ``config`` is the deployment's MonitoringConfig governing this epoch
+        (workers rebuild switches from it each phase, mirroring the central
+        ``begin_epoch``).  Phase 1 must fully complete before phase 2
         is dispatched — phase 2 reads hierarchy counts written by every shard.
         ``with_spans=True`` has each worker time its phases and ship span
         dicts back with the deltas (empty list otherwise).
@@ -522,7 +539,7 @@ class ShardPool:
         while True:
             try:
                 up_deltas, down_deltas, spans = self._dispatch_epoch(
-                    data_meta, scratch_offsets, key, configs, with_spans,
+                    data_meta, scratch_offsets, key, config, with_spans,
                     faults if attempt == 0 else (),
                 )
             except _RECOVERABLE as error:
@@ -560,7 +577,7 @@ class ShardPool:
         data_meta: Dict[str, Any],
         scratch_offsets: Dict[str, int],
         key: int,
-        configs: Dict[Any, Any],
+        config: Any,
         with_spans: bool,
         faults: Sequence[Dict[str, Any]],
     ) -> Tuple[
@@ -581,7 +598,7 @@ class ShardPool:
         spans: List[Dict[str, Any]] = []
         phase1 = [
             self._executor.submit(
-                _phase1_task, shard, *common, key, configs, with_spans,
+                _phase1_task, shard, *common, key, config, with_spans,
                 fault_by_shard.get(shard),
             )
             for shard in range(self.num_shards)
@@ -591,7 +608,7 @@ class ShardPool:
             up_deltas.update(deltas)
             spans.extend(shard_spans)
         phase2 = [
-            self._executor.submit(_phase2_task, shard, *common, configs, with_spans)
+            self._executor.submit(_phase2_task, shard, *common, config, with_spans)
             for shard in range(self.num_shards)
         ]
         down_deltas: Dict[Any, Dict[str, Any]] = {}

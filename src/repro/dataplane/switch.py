@@ -7,17 +7,25 @@ Two groups of sketches alternate between epochs (the 1-bit flipping timestamp
 of appendix B): while one group monitors the current epoch, the other is
 collected by the controller and then rebuilt with whatever configuration the
 controller staged for the next epoch.
+
+Packets are processed for many switches at once: :func:`process_upstream`
+and :func:`process_downstream` take a sequence of switches of one deployment
+and a per-flow switch index, and evaluate every classifier and encoder hash
+once for all of them.  A single switch is the one-element case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..sketches.fermat import MERSENNE_PRIME_127
-from .classifier import FlowClassifier
+from ..sketches.hashing import KeyArray
+from .classifier import ClassifiedBatch, FlowClassifier, classify_flows
 from .config import MonitoringConfig, SwitchResources
-from .encoder import DownstreamFlowEncoder, UpstreamFlowEncoder
+from .encoder import DownstreamFlowEncoder, PartHashes, UpstreamFlowEncoder, encode_part
 from .hierarchy import FlowHierarchy
 
 #: A flow's per-epoch hierarchy breakdown: ordered (hierarchy, packet count)
@@ -164,50 +172,108 @@ class EdgeSwitch:
         """Memory of the active group (the standby group mirrors it)."""
         return self._active.memory_bytes()
 
-    # ------------------------------------------------------------------ #
-    # packet processing
-    # ------------------------------------------------------------------ #
-    def process_flows_upstream_arrays(self, flow_ids, sizes) -> "ClassifiedBatch":
-        """Process a batch of flows entering the network here, in array form.
-
-        Equivalent to sending each flow's packets through the classifier and
-        the upstream encoder one at a time, in batch order: the classifier
-        resolves order-dependence with grouped prefix sums, and the
-        per-hierarchy Fermat encoders ingest each hierarchy's segments in one
-        vectorized insert (Fermat encoding is commutative).  The returned
-        batch holds each flow's hierarchy split, which the simulator carries
-        to the egress switch (the testbed carries the hierarchy in ToS bits /
-        INT metadata).
-        """
-        group = self._active
-        batch = group.classifier.classify_flows_arrays(flow_ids, sizes, group.config)
-        self.stats.packets_upstream += batch.packets
-        self.stats.flows_seen += batch.flows_seen
-        per_hierarchy = self.stats.per_hierarchy_packets
-        for hierarchy, total in batch.totals().items():
-            per_hierarchy[hierarchy] += total
-        for hierarchy, ids, counts in batch.grouped_arrays():
-            group.upstream.encode_batch(hierarchy, ids, counts)
-        return batch
-
-    def process_flows_downstream_arrays(
-        self,
-        groups: List[Tuple[FlowHierarchy, "np.ndarray", "np.ndarray"]],
-        packets: int,
-    ) -> None:
-        """Process packets exiting the network here, pre-grouped as
-        ``(hierarchy, ids, counts)`` from the loss-reduced hierarchy split
-        carried from the ingress switch.
-
-        ``packets`` is the total delivered packet count across the groups
-        (including non-sampled LL, which is counted but never encoded).
-        """
-        group = self._active
-        self.stats.packets_downstream += packets
-        for hierarchy, ids, counts in groups:
-            if len(ids):
-                group.downstream.encode_batch(hierarchy, ids, counts)
-
     def query_flow_size(self, flow_id: int) -> int:
         """Online per-flow size query against the active classifier."""
         return self._active.classifier.query(flow_id)
+
+
+# --------------------------------------------------------------------------- #
+# packet processing: one pass over all switches
+# --------------------------------------------------------------------------- #
+def _per_switch(owner: np.ndarray, values: np.ndarray, num: int) -> List[int]:
+    """``values`` summed per switch (exact: packet counts stay far below 2**53)."""
+    return np.bincount(owner, weights=values, minlength=num).astype(np.int64).tolist()
+
+
+def process_upstream(
+    switches: Sequence[EdgeSwitch],
+    owner: np.ndarray,
+    flow_ids: Union[Sequence[int], np.ndarray, KeyArray],
+    sizes: Union[Sequence[int], np.ndarray],
+) -> ClassifiedBatch:
+    """Classify and upstream-encode flows entering the network, all switches at once.
+
+    Flow ``r`` enters at ``switches[owner[r]]``, and each switch sees its
+    flows in batch order.  The switches must be one deployment (same
+    resources, seed, prime and active configuration), so every hash runs
+    once over all flows: the classifier levels and the sample hash here, and
+    each encoder part's fingerprint and bucket hashes over the flows that
+    part encodes.  The result is bit-identical to sending each switch's
+    packets through its classifier and upstream encoder one at a time.  The
+    returned batch holds each flow's hierarchy split, which the simulator
+    carries to the egress switch (the testbed carries the hierarchy in ToS
+    bits / INT metadata), and the HL and LL parts' hashes for
+    :func:`process_downstream`.
+    """
+    groups = [switch._active for switch in switches]
+    owner = np.asarray(owner, dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    batch = classify_flows(
+        [group.classifier for group in groups], owner, flow_ids, sizes, groups[0].config
+    )
+    num = len(switches)
+    active = sizes > 0
+    ll_sampled = np.where(batch.sampled, batch.ll, 0)
+    totals = zip(
+        _per_switch(owner[active], sizes[active], num),
+        np.bincount(owner[active], minlength=num).tolist(),
+        _per_switch(owner, batch.hh, num),
+        _per_switch(owner, batch.hl, num),
+        _per_switch(owner, ll_sampled, num),
+        _per_switch(owner, batch.ll - ll_sampled, num),
+    )
+    for switch, (packets, flows, hh, hl, sampled_ll, non_sampled_ll) in zip(switches, totals):
+        stats = switch.stats
+        stats.packets_upstream += packets
+        stats.flows_seen += flows
+        per_hierarchy = stats.per_hierarchy_packets
+        per_hierarchy[FlowHierarchy.HH_CANDIDATE] += hh
+        per_hierarchy[FlowHierarchy.HL_CANDIDATE] += hl
+        per_hierarchy[FlowHierarchy.SAMPLED_LL] += sampled_ll
+        per_hierarchy[FlowHierarchy.NON_SAMPLED_LL] += non_sampled_ll
+    # The HL part also takes HH packets downstream, so it hashes both tiers.
+    for name, counts, hashed in (
+        ("hh", batch.hh, batch.hh > 0),
+        ("hl", batch.hl, (batch.hl > 0) | (batch.hh > 0)),
+        ("ll", ll_sampled, ll_sampled > 0),
+    ):
+        parts = [group.upstream.parts.part(name) for group in groups]
+        if parts[0] is None:
+            continue
+        hashes = PartHashes.of(parts[0], batch.keys, np.flatnonzero(hashed))
+        if name != "hh":
+            batch.hashes[name] = hashes
+        rows = np.flatnonzero(counts > 0)
+        encode_part(parts, owner[rows], rows, counts[rows], hashes)
+    return batch
+
+
+def process_downstream(
+    switches: Sequence[EdgeSwitch], owner: np.ndarray, batch: ClassifiedBatch
+) -> None:
+    """Downstream-encode delivered packets, all egress switches at once.
+
+    Flow ``r`` exits at ``switches[owner[r]]`` with the (loss-reduced)
+    hierarchy split ``batch`` carries from its ingress switch.  HH and HL
+    packets go to the HL part as one count per flow, sampled LL packets to
+    the LL part; non-sampled LL packets are counted but not encoded.  The
+    parts reuse the hashes ``batch`` carries from :func:`process_upstream`
+    and hash the flows themselves when it carries none (a shard worker's
+    batch).
+    """
+    groups = [switch._active for switch in switches]
+    owner = np.asarray(owner, dtype=np.int64)
+    delivered = batch.ll + batch.hl + batch.hh
+    packets = _per_switch(owner, delivered, len(switches))
+    for switch, count in zip(switches, packets):
+        switch.stats.packets_downstream += count
+    for name, counts in (
+        ("hl", batch.hl + batch.hh),
+        ("ll", np.where(batch.sampled, batch.ll, 0)),
+    ):
+        parts = [group.downstream.parts.part(name) for group in groups]
+        if parts[0] is None:
+            continue
+        rows = np.flatnonzero(counts > 0)
+        hashes = batch.hashes.get(name) or PartHashes.of(parts[0], batch.keys, rows)
+        encode_part(parts, owner[rows], rows, counts[rows], hashes)

@@ -12,10 +12,19 @@ The simulator is epoch-synchronous: all of an epoch's packets are delivered or
 dropped before the controller collects the epoch's sketches, matching the
 "additional waiting time" the paper introduces before collection (appendix B).
 
+An epoch is two passes over all edge switches at once:
+:func:`~repro.dataplane.switch.process_upstream` classifies and
+encodes every flow at its ingress switch, and
+:func:`~repro.dataplane.switch.process_downstream` encodes the delivered
+packets at the egress switches.  Every switch runs the same hash functions,
+so each runs once per epoch over all flows; the switches must therefore be
+one deployment (same resources, base seed, prime and active configuration),
+and ``run_epoch`` raises ``ValueError`` otherwise.
+
 Loss draws use *counter-based* RNG sub-streams: every victim flow's draws are
 a pure function of ``(simulator seed, epoch index, trace position)``, so any
-partition of the trace — one batch per switch, or sharded across worker
-processes — produces bit-identical loss placement.  This is the same
+partition of the trace — the serial pass, or shards across worker processes
+— produces bit-identical loss placement.  This is the same
 derive-before-dispatch seeding discipline ``SweepRunner`` uses for sweep
 points.
 """
@@ -25,12 +34,17 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..dataplane.hierarchy import FlowHierarchy
-from ..dataplane.switch import EdgeSwitch, HierarchySegments
+from ..dataplane.switch import (
+    EdgeSwitch,
+    HierarchySegments,
+    process_downstream,
+    process_upstream,
+)
 from ..obs.tracing import NULL_TRACER
 from ..traffic.flow import Trace, TraceColumns
 from .routing import EcmpRouter
@@ -257,36 +271,20 @@ def apply_victim_losses(
                 ll_all[position] = count
 
 
-def downstream_groups(
-    flow_ids: np.ndarray,
-    ll_all: np.ndarray,
-    hl_all: np.ndarray,
-    hh_all: np.ndarray,
-    sampled_all: np.ndarray,
-    egress_mask: np.ndarray,
-) -> Tuple[list, int]:
-    """Pre-grouped (hierarchy, ids, counts) for one egress switch.
+def switches_by_index(
+    node_indices: np.ndarray, switch_at: Callable[[int], EdgeSwitch]
+) -> Tuple[List[EdgeSwitch], np.ndarray]:
+    """The switches the flows touch, in node order, and each flow's position there.
 
-    Groups come in a fixed order (HH, HL, sampled-LL, non-sampled-LL), so
-    every partition of the egress switches inserts identically.
+    ``node_indices`` are per-flow edge-switch indices; ``switch_at(index)``
+    returns the switch at one of them (or raises).  The pair feeds
+    :func:`~repro.dataplane.switch.process_upstream` and
+    :func:`~repro.dataplane.switch.process_downstream`.
     """
-    s_ll = FlowHierarchy.SAMPLED_LL
-    ns_ll = FlowHierarchy.NON_SAMPLED_LL
-    hl_h = FlowHierarchy.HL_CANDIDATE
-    hh_h = FlowHierarchy.HH_CANDIDATE
-    groups = []
-    packets = 0
-    for hierarchy, mask, counts in (
-        (hh_h, egress_mask & (hh_all > 0), hh_all),
-        (hl_h, egress_mask & (hl_all > 0), hl_all),
-        (s_ll, egress_mask & sampled_all & (ll_all > 0), ll_all),
-        (ns_ll, egress_mask & ~sampled_all & (ll_all > 0), ll_all),
-    ):
-        if mask.any():
-            selected = counts[mask]
-            groups.append((hierarchy, flow_ids[mask], selected))
-            packets += int(selected.sum())
-    return groups, packets
+    present = np.flatnonzero(np.bincount(node_indices))
+    local = np.zeros(present[-1] + 1, dtype=np.int64)
+    local[present] = np.arange(present.size)
+    return [switch_at(index) for index in present.tolist()], local[node_indices]
 
 
 class NetworkSimulator:
@@ -351,11 +349,11 @@ class NetworkSimulator:
     ) -> EpochTruth:
         """Replay a whole trace as one epoch and return its ground truth.
 
-        Flows are grouped per ingress/egress edge switch, classified and
-        encoded with the NumPy sketch backend, and losses are drawn per
-        segment.  ``shards=N`` fans the epoch out over a persistent worker
-        pool (one shard owns a set of edge switches) and merges the
-        shard-local sketches centrally.  Both produce bit-identical sketch
+        Flows are classified and encoded at their ingress and egress edge
+        switches in one pass per side, and losses are drawn per segment.
+        ``shards=N`` fans the epoch out over a persistent worker pool (one
+        shard owns a set of edge switches) and merges the shard-local
+        sketches centrally.  Both produce bit-identical sketch
         state and ground truth: loss draws are keyed on (seed, epoch, trace
         position), never on execution order.
 
@@ -374,76 +372,77 @@ class NetworkSimulator:
     def _run_epoch_batched(
         self, trace: Trace, key: int, tracer: Optional[object] = None
     ) -> EpochTruth:
-        """Vectorized epoch replay in this process.
+        """Vectorized epoch replay in this process: one pass per side.
 
-        Upstream processing is grouped per ingress switch (each switch's flows
-        keep their trace order, and switches do not share classifier state, so
-        the grouping preserves every classification decision); loss draws are
-        keyed on each victim's trace position; downstream processing is
-        grouped per egress switch.
+        The upstream pass classifies and encodes every flow at its ingress
+        switch (each switch's flows keep their trace order, so every
+        classification decision is preserved); loss draws are keyed on each
+        victim's trace position; the downstream pass encodes every flow at
+        its egress switch, reusing the upstream pass's hashes.
         """
         tracer = tracer if tracer is not None else NULL_TRACER
         truth = EpochTruth()
         columns = trace.columns()
-        num_flows = len(columns)
-        if num_flows == 0:
+        if len(columns) == 0:
             return truth
+        self._require_one_deployment()
         ingress, egress = endpoint_switch_indices(
             columns, self.topology.num_hosts, self.host_edge
         )
         accumulate_truth(truth, columns, ingress, self.edge_nodes)
-        flow_ids = columns.flow_ids
-        sizes = columns.sizes
-        # Upstream: one batch per ingress switch; each switch's flows keep
-        # their trace order, so every classification decision is preserved.
-        ll_all = np.zeros(num_flows, dtype=np.int64)
-        hl_all = np.zeros(num_flows, dtype=np.int64)
-        hh_all = np.zeros(num_flows, dtype=np.int64)
-        sampled_all = np.zeros(num_flows, dtype=bool)
         with tracer.span("classify_encode"):
-            for index, node in enumerate(self.edge_nodes):
-                positions = np.nonzero(ingress == index)[0]
-                if not positions.size:
-                    continue
-                switch = self.switches.get(node)
-                if switch is None:
-                    raise KeyError(
-                        f"no ChameleMon data plane attached to edge switch {node}"
-                    )
-                batch = switch.process_flows_upstream_arrays(
-                    flow_ids[positions], sizes[positions]
-                )
-                ll_all[positions] = batch.ll
-                hl_all[positions] = batch.hl
-                hh_all[positions] = batch.hh
-                sampled_all[positions] = batch.sampled
+            switches, owner = switches_by_index(ingress, self._switch_at)
+            batch = process_upstream(switches, owner, columns.flow_ids, columns.sizes)
         victim_positions = np.nonzero(columns.is_victim & (columns.lost_packets > 0))[0]
         with tracer.span("loss_apply"):
             apply_victim_losses(
                 key,
                 victim_positions,
                 columns.lost_packets[victim_positions],
-                ll_all,
-                hl_all,
-                hh_all,
-                sampled_all,
+                batch.ll,
+                batch.hl,
+                batch.hh,
+                batch.sampled,
             )
-        # Downstream: one batch per egress switch, pre-grouped per hierarchy.
         with tracer.span("downstream_encode"):
-            for index, node in enumerate(self.edge_nodes):
-                egress_mask = egress == index
-                if not egress_mask.any():
-                    continue
-                switch = self.switches.get(node)
-                if switch is None:
-                    raise KeyError(
-                        f"no ChameleMon data plane attached to edge switch {node}"
-                    )
-                groups, packets = downstream_groups(
-                    flow_ids, ll_all, hl_all, hh_all, sampled_all, egress_mask
-                )
-                switch.process_flows_downstream_arrays(groups, packets)
+            switches, owner = switches_by_index(egress, self._switch_at)
+            process_downstream(switches, owner, batch)
         return truth
+
+    def _switch_at(self, index: int) -> EdgeSwitch:
+        node = self.edge_nodes[index]
+        switch = self.switches.get(node)
+        if switch is None:
+            raise KeyError(f"no ChameleMon data plane attached to edge switch {node}")
+        return switch
+
+    def _require_one_deployment(self) -> None:
+        """Raise ``ValueError`` unless every attached switch is one deployment.
+
+        The epoch passes evaluate each hash once for all switches, so every
+        switch must share resources, base seed, prime and active
+        configuration (the controller's add/subtract needs the same).  The
+        error names the first switch, in node order, that differs from the
+        first one.
+        """
+        nodes = [node for node in self.edge_nodes if node in self.switches]
+        if not nodes:
+            return
+        first = self.switches[nodes[0]]
+        for node in nodes[1:]:
+            switch = self.switches[node]
+            for name, mine, theirs in (
+                ("resources", switch.resources, first.resources),
+                ("base seed", switch._base_seed, first._base_seed),
+                ("prime", switch._prime, first._prime),
+                ("configuration", switch.config, first.config),
+            ):
+                if mine is not theirs and mine != theirs:
+                    raise ValueError(
+                        f"edge switch {node} differs from {nodes[0]} in its {name}; "
+                        f"the simulator runs one deployment, so every switch must "
+                        f"share resources, base seed, prime and configuration"
+                    )
 
     # ------------------------------------------------------------------ #
     # sharded execution
@@ -463,6 +462,7 @@ class NetworkSimulator:
         if len(columns) == 0:
             return truth
         self._require_fresh_switches()
+        self._require_one_deployment()
         from ..dataplane.sharded import merge_node_deltas
 
         pool = self._ensure_shard_pool(shards)
@@ -470,13 +470,13 @@ class NetworkSimulator:
             columns, self.topology.num_hosts, self.host_edge
         )
         accumulate_truth(truth, columns, ingress, self.edge_nodes)
-        configs = {node: switch.config for node, switch in self.switches.items()}
+        config = next((switch.config for switch in self.switches.values()), None)
         faults = (
             self.chaos.shard_faults(epoch, shards) if self.chaos is not None else ()
         )
         try:
             up_deltas, down_deltas, shard_spans = pool.run_epoch(
-                columns, key, configs, with_spans=tracer.enabled,
+                columns, key, config, with_spans=tracer.enabled,
                 epoch=epoch, faults=faults,
             )
         except Exception:

@@ -330,94 +330,43 @@ class FermatSketch(InvertibleSketch):
             self._counts[i][j] += count
             self._idsums[i][j] = (int(self._idsums[i][j]) + delta) % p
 
-    def extend_ids_batch(
-        self, flow_ids: Union[Sequence[int], np.ndarray]
+    def extended_keys(
+        self, flow_ids: Union[Sequence[int], np.ndarray, KeyArray]
     ) -> KeyArray:
-        """Fingerprint-extend a batch of flow IDs into a shared :class:`KeyArray`."""
+        """Fingerprint-extend a batch of flow IDs into a shared :class:`KeyArray`.
+
+        The extended IDs are not checked against the prime here: the batch
+        encoder (:func:`insert_scattered`) checks exactly the IDs it encodes.
+        """
+        id_keys = flow_ids if isinstance(flow_ids, KeyArray) else KeyArray(flow_ids)
         if self._fp_hash is None:
-            keys = flow_ids if isinstance(flow_ids, KeyArray) else KeyArray(flow_ids)
-        else:
-            bits = self.params.fingerprint_bits
-            id_keys = flow_ids if isinstance(flow_ids, KeyArray) else KeyArray(flow_ids)
-            fingerprints = self._fp_hash.hash_array(id_keys)
-            if id_keys.limbs.shape[0] * 32 + bits <= 63:
-                # Single-limb IDs (the guard rules out wider ones): the
-                # extension fits uint64 and stays vectorized.
-                extended = (
-                    id_keys.limbs[0] << np.uint64(bits)
-                ) | fingerprints.astype(np.uint64)
-                keys = KeyArray(extended)
-            else:
-                ids = np.array(id_keys.ints(), dtype=object)
-                keys = KeyArray((ids << bits) | fingerprints.astype(object))
-        limbs_bits = keys.limbs.shape[0] * 32
-        if limbs_bits >= self.params.prime.bit_length():
-            if keys.max_int() >= self.params.prime:
-                raise ValueError(
-                    "flow ID (after fingerprint extension) must be smaller than "
-                    "the Fermat prime; use a larger prime"
-                )
-        return keys
+            return id_keys
+        bits = self.params.fingerprint_bits
+        fingerprints = self._fp_hash.hash_array(id_keys)
+        if id_keys.limbs.shape[0] * 32 + bits <= 63:
+            # Single-limb IDs (the guard rules out wider ones): the
+            # extension fits uint64 and stays vectorized.
+            return KeyArray(
+                (id_keys.limbs[0] << np.uint64(bits)) | fingerprints.astype(np.uint64)
+            )
+        ids = np.array(id_keys.ints(), dtype=object)
+        return KeyArray((ids << bits) | fingerprints.astype(object))
 
     def insert_batch(
         self,
         flow_ids: Union[Sequence[int], np.ndarray],
         counts: Union[Sequence[int], np.ndarray],
-        _extended: Optional[KeyArray] = None,
     ) -> None:
         """Vectorized bulk insert — bit-identical state to scalar inserts.
 
-        Bucket indices come from the vectorized hash path; IDsum deltas
-        ``(ext * count) mod p`` are computed limb-wise and scatter-added into
-        per-limb uint64 accumulators, which are merged into the object-dtype
-        IDsum arrays once per call (sums of residues are congruent to the
-        incremental per-insert reduction, so the final stored values match the
-        scalar path exactly).
+        The one-sketch case of :func:`insert_scattered`.
         """
         counts = np.asarray(counts, dtype=np.int64)
-        keys = _extended if _extended is not None else self.extend_ids_batch(flow_ids)
+        keys = self.extended_keys(flow_ids)
         if counts.shape != (keys.size,):
             raise ValueError("flow_ids and counts must have the same length")
-        if counts.size == 0:
-            return
-        p = self.params.prime
-        exponent = mersenne_exponent(p)
-        if counts.min() >= 0 and counts.max() < (1 << 31):
-            delta_limbs = modmul_array(keys, counts.astype(np.uint64), p)
-        else:
-            delta_limbs = None
-        if delta_limbs is None:
-            # Negative counts or a non-Mersenne prime: per-element fallback
-            # (works for both uint64 and object IDsum storage).
-            deltas = [
-                (ext * count) % p
-                for ext, count in zip(keys.ints(), counts.tolist())
-            ]
-        buckets = self.params.buckets_per_array
-        for i, h in enumerate(self._hashes):
-            indices = h.hash_array(keys)
-            np.add.at(self._counts[i], indices, counts)
-            if delta_limbs is None:
-                idsums = self._idsums[i]
-                for j, delta in zip(indices.tolist(), deltas):
-                    idsums[j] = (int(idsums[j]) + delta) % p
-                continue
-            accumulator = np.zeros((delta_limbs.shape[0], buckets), dtype=np.uint64)
-            for limb in range(delta_limbs.shape[0]):
-                np.add.at(accumulator[limb], indices, delta_limbs[limb])
-            folded = (
-                fold_limb_sums_mod_mersenne(accumulator, exponent)
-                if exponent is not None
-                else None
-            )
-            if folded is not None and self._idsums[i].dtype == np.uint64:
-                self._idsums[i] = (self._idsums[i] + folded) % p
-                continue
-            # Wide primes: merge the limb sums through object-dtype Horner.
-            merged = np.zeros(buckets, dtype=object)
-            for limb in range(delta_limbs.shape[0] - 1, -1, -1):
-                merged = (merged << 32) + accumulator[limb].astype(object)
-            self._idsums[i] = (self._idsums[i] + merged) % p
+        indices = [h.hash_array(keys) for h in self._hashes]
+        insert_scattered([self], np.zeros(keys.size, dtype=np.int64), keys, indices, counts)
 
     def remove(self, flow_id: int, count: int = 1) -> None:
         """Remove ``count`` packets of flow ``flow_id`` (inverse of insert)."""
@@ -823,6 +772,88 @@ class FermatSketch(InvertibleSketch):
     def counts_array(self, i: int) -> np.ndarray:
         """A copy of array ``i``'s per-bucket counts (for load estimation)."""
         return self._counts[i].copy()
+
+
+#: IDsum limb sums are folded for at most this many buckets at a time (or one
+#: sketch's, when larger), which bounds the folding temporaries when many
+#: sketches are encoded together.
+_FOLD_BUCKETS = 1 << 13
+
+
+def insert_scattered(
+    sketches: Sequence[FermatSketch],
+    owner: np.ndarray,
+    keys: KeyArray,
+    indices: Sequence[np.ndarray],
+    counts: np.ndarray,
+) -> None:
+    """Encode ``counts[r]`` packets of extended ID ``keys[r]`` into ``sketches[owner[r]]``.
+
+    The batch encoder of every FermatSketch.  The sketches must share their
+    parameters (hashes, prime, geometry); ``indices[i][r]`` is row ``r``'s
+    bucket in array ``i``.  Each array takes one scatter-add of the counts
+    and one per IDsum limb over ``owner * m + bucket``; the IDsum deltas
+    ``(ext * count) mod p`` are computed limb-wise, and the limb sums are
+    reduced and merged into each sketch's IDsums once.  Sums of residues are
+    congruent to the per-insert reduction, so the stored residues match
+    scalar :meth:`FermatSketch.insert` calls exactly, in any order.  Raises
+    ``ValueError`` before any update when an extended ID is not below the
+    prime.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.size == 0:
+        return
+    params = sketches[0].params
+    p = params.prime
+    if keys.limbs.shape[0] * 32 >= p.bit_length() and keys.max_int() >= p:
+        raise ValueError(
+            "flow ID (after fingerprint extension) must be smaller than the "
+            "Fermat prime; use a larger prime"
+        )
+    exponent = mersenne_exponent(p)
+    if counts.min() >= 0 and counts.max() < (1 << 31):
+        delta_limbs = modmul_array(keys, counts.astype(np.uint64), p)
+    else:
+        delta_limbs = None
+    if delta_limbs is None:
+        # Negative counts or a non-Mersenne prime: per-element fallback
+        # (works for both uint64 and object IDsum storage).
+        deltas = [(ext * count) % p for ext, count in zip(keys.ints(), counts.tolist())]
+        owners = owner.tolist()
+    num = len(sketches)
+    m = params.buckets_per_array
+    touched = np.flatnonzero(np.bincount(owner, minlength=num)).tolist()
+    step = max(1, _FOLD_BUCKETS // m)
+    chunks = [
+        [s for s in touched if start <= s < start + step] for start in range(0, num, step)
+    ]
+    base = owner * m
+    for i, bucket in enumerate(indices):
+        flat = base + bucket
+        count_sums = np.zeros(num * m, dtype=np.int64)
+        np.add.at(count_sums, flat, counts)
+        for s in touched:
+            sketches[s]._counts[i] += count_sums[s * m:(s + 1) * m]
+        if delta_limbs is None:
+            for s, j, delta in zip(owners, bucket.tolist(), deltas):
+                idsums = sketches[s]._idsums[i]
+                idsums[j] = (int(idsums[j]) + delta) % p
+            continue
+        limb_sums = np.zeros((delta_limbs.shape[0], num * m), dtype=np.uint64)
+        for limb in range(delta_limbs.shape[0]):
+            np.add.at(limb_sums[limb], flat, delta_limbs[limb])
+        narrow = exponent is not None and sketches[0]._idsums[i].dtype == np.uint64
+        for chunk in filter(None, chunks):
+            lo, hi = chunk[0] * m, (chunk[-1] + 1) * m
+            merged = fold_limb_sums_mod_mersenne(limb_sums[:, lo:hi], exponent) if narrow else None
+            if merged is None:
+                # Wide primes: merge the limb sums through object-dtype Horner.
+                merged = np.zeros(hi - lo, dtype=object)
+                for limb in range(limb_sums.shape[0] - 1, -1, -1):
+                    merged = (merged << 32) + limb_sums[limb, lo:hi].astype(object)
+            for s in chunk:
+                row = merged[s * m - lo:(s + 1) * m - lo]
+                sketches[s]._idsums[i] = (sketches[s]._idsums[i] + row) % p
 
 
 def minimum_memory_for_flows(

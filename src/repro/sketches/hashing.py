@@ -25,6 +25,7 @@ Two evaluation paths produce bit-identical results:
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -41,6 +42,11 @@ _LIMB_SHIFT = np.uint64(_LIMB_BITS)
 #: Largest supported ``range_size`` of the vectorized path: keeps every
 #: intermediate of the final ``mod m`` step inside uint64.
 _MAX_VECTOR_RANGE = 1 << 31
+
+#: Keys per call of a limb kernel (hash, modular product).  The kernels make
+#: about twenty temporaries the length of their input, so a large batch is
+#: evaluated a slice at a time to bound them.
+_KERNEL_KEYS = 1 << 16
 
 
 def mersenne_exponent(prime: int) -> Optional[int]:
@@ -400,6 +406,18 @@ class KeyArray:
             self._reduced[prime] = cached
         return cached
 
+    def take(self, rows: np.ndarray) -> "KeyArray":
+        """The keys at integer positions ``rows``, with their cached reductions."""
+        sub = KeyArray.__new__(KeyArray)
+        limbs = self.limbs[:, rows]
+        while limbs.shape[0] > 1 and not limbs[-1].any():
+            limbs = limbs[:-1]
+        sub.limbs = limbs
+        sub.size = limbs.shape[1]
+        sub._reduced = {prime: cached[:, rows] for prime, cached in self._reduced.items()}
+        sub._ints = None if self._ints is None else [self._ints[r] for r in rows.tolist()]
+        return sub
+
     def ints(self) -> List[int]:
         """The keys as plain Python integers (scalar fallback)."""
         if self._ints is None:
@@ -460,11 +478,15 @@ class PairwiseHash:
         exponent = mersenne_exponent(self.prime)
         if exponent is not None and self.range_size <= _MAX_VECTOR_RANGE:
             reduced = key_array.reduced(self.prime, exponent)
-            if exponent == 89:
-                return _hash89(reduced, self.a, self.b, self.range_size).astype(np.int64)
-            return _hash_mersenne(
-                reduced, self.a, self.b, exponent, self.range_size
-            ).astype(np.int64)
+            out = np.empty(key_array.size, dtype=np.int64)
+            for start in range(0, key_array.size, _KERNEL_KEYS):
+                part = reduced[:, start:start + _KERNEL_KEYS]
+                out[start:start + _KERNEL_KEYS] = (
+                    _hash89(part, self.a, self.b, self.range_size)
+                    if exponent == 89
+                    else _hash_mersenne(part, self.a, self.b, exponent, self.range_size)
+                )
+            return out
         # Non-Mersenne primes / huge ranges: scalar reference loop.
         return np.array([self(k) for k in key_array.ints()], dtype=np.int64)
 
@@ -486,7 +508,18 @@ def modmul_array(
         return None
     key_array = keys if isinstance(keys, KeyArray) else KeyArray(keys)
     reduced = key_array.reduced(prime, exponent)
-    return _limbs_mul_small_mod(reduced, factors.astype(np.uint64), exponent)
+    factors = factors.astype(np.uint64)
+    return np.concatenate(
+        [
+            _limbs_mul_small_mod(
+                reduced[:, start:start + _KERNEL_KEYS],
+                factors[start:start + _KERNEL_KEYS],
+                exponent,
+            )
+            for start in range(0, max(key_array.size, 1), _KERNEL_KEYS)
+        ],
+        axis=1,
+    )
 
 
 def modmul_mersenne_u64(a: np.ndarray, b: np.ndarray, e: int) -> np.ndarray:
@@ -578,8 +611,25 @@ def fold_limb_sums_mod_mersenne(limb_sums: np.ndarray, e: int) -> Optional[np.nd
     return v
 
 
+@functools.lru_cache(maxsize=256, typed=True)
+def _coefficients(seed: int, prime: int, count: int) -> Tuple[Tuple[int, int], ...]:
+    """The first ``count`` ``(a, b)`` pairs ``random.Random(seed)`` draws.
+
+    Memoised: every switch of a deployment rebuilds the same sketches from
+    the same seeds every epoch, so each sequence is drawn once per process.
+    ``lru_cache`` is thread-safe (the streaming engine builds sketches on
+    its generation thread alongside the epoch loop) and bounded.
+    """
+    rng = random.Random(seed)
+    return tuple((rng.randrange(1, prime), rng.randrange(0, prime)) for _ in range(count))
+
+
 class HashFamily:
     """A reproducible family of pairwise-independent hash functions.
+
+    The ``k``-th function drawn from a family is the ``k``-th ``(a, b)`` pair
+    of ``random.Random(seed)`` (``a = randrange(1, prime)``, then
+    ``b = randrange(0, prime)``), read from a per-process memo.
 
     Parameters
     ----------
@@ -596,7 +646,7 @@ class HashFamily:
             raise ValueError("prime must be > 1")
         self._seed = seed
         self._prime = prime
-        self._rng = random.Random(seed)
+        self._drawn = 0
 
     @property
     def seed(self) -> int:
@@ -606,19 +656,31 @@ class HashFamily:
     def prime(self) -> int:
         return self._prime
 
+    def _next_pairs(self, count: int) -> Tuple[Tuple[int, int], ...]:
+        end = self._drawn + count
+        # Memo entries grow in powers of two, so few lengths are cached.
+        size = max(8, 1 << (end - 1).bit_length())
+        pairs = _coefficients(self._seed, self._prime, size)[self._drawn:end]
+        self._drawn = end
+        return pairs
+
     def draw(self, range_size: int) -> PairwiseHash:
         """Draw the next hash function of the family onto ``[0, range_size)``."""
         if range_size <= 0:
             raise ValueError("hash range must be positive")
-        a = self._rng.randrange(1, self._prime)
-        b = self._rng.randrange(0, self._prime)
+        ((a, b),) = self._next_pairs(1)
         return PairwiseHash(a, b, range_size, self._prime)
 
     def draw_many(self, count: int, range_size: int) -> list[PairwiseHash]:
         """Draw ``count`` independent hash functions with the same range."""
         if count < 0:
             raise ValueError("count must be non-negative")
-        return [self.draw(range_size) for _ in range(count)]
+        if count and range_size <= 0:
+            raise ValueError("hash range must be positive")
+        return [
+            PairwiseHash(a, b, range_size, self._prime)
+            for a, b in self._next_pairs(count)
+        ]
 
 
 def fold_key(parts: Iterable[int], widths: Sequence[int]) -> int:

@@ -152,10 +152,18 @@ class TowerSketch(FrequencySketch):
     ) -> np.ndarray:
         """Vectorized queries — bit-identical to calling :meth:`query` per key."""
         keys = flow_ids if isinstance(flow_ids, KeyArray) else KeyArray(flow_ids)
-        estimates = np.full(keys.size, np.iinfo(np.int64).max, dtype=np.int64)
-        any_valid = np.zeros(keys.size, dtype=bool)
-        for level, h, counters in zip(self.levels, self._hashes, self._counters):
-            values = counters[h.hash_array(keys)]
+        return self.query_indices([h.hash_array(keys) for h in self._hashes])
+
+    def query_indices(self, indices: Sequence[np.ndarray]) -> np.ndarray:
+        """Queries of flows whose counter index on level ``i`` is ``indices[i]``.
+
+        Lets sketches that share this tower's hashes answer one batch from
+        one hash evaluation per level.
+        """
+        estimates = np.full(indices[0].size, np.iinfo(np.int64).max, dtype=np.int64)
+        any_valid = np.zeros(indices[0].size, dtype=bool)
+        for level, index, counters in zip(self.levels, indices, self._counters):
+            values = counters[index]
             valid = values < level.saturation
             estimates = np.where(valid, np.minimum(estimates, values), estimates)
             any_valid |= valid

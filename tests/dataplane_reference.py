@@ -3,28 +3,38 @@
 ``classify_flow_packets`` is the flow classifier's per-flow walk: it inserts
 one flow's packets into the Tower classifier a chunk at a time and returns
 the flow's ordered hierarchy segments, exactly as classifying the packets one
-by one would (``classify_packet``).  ``FlowClassifier.classify_flows_arrays``
-must give every flow the same LL/HL/HH split and leave the same counters as
-calling it flow by flow in batch order; ``tests/test_numpy_backend.py`` and
+by one would (``classify_packet``).  ``classify_flows`` must give every flow
+the same LL/HL/HH split and leave the same counters as calling it flow by
+flow, switch by switch, in batch order; ``tests/test_numpy_backend.py`` and
 ``tests/test_dataplane.py`` check that on random inputs, reading the batch
-back as segments with ``batch_segments``.  ``loss_uniform`` is
-one loss-draw uniform computed on Python ints, the oracle of the vectorized
+back as segments with ``batch_segments``.  ``loss_uniform`` is one loss-draw
+uniform computed on Python ints, the oracle of the vectorized
 ``loss_uniforms`` (``tests/test_sharded_plane.py``).
+
+``reference_epoch`` is an oracle for a whole ``run_epoch``: it walks the
+trace flow by flow with ``classify_flow_packets`` at the ingress switch,
+draws losses with ``distribute_losses_uniform`` on ``loss_uniform``s, and
+encodes each segment with one scalar ``FermatSketch.insert``
+(``tests/test_dataplane_oracle.py``).
 
 The walks are the classifier methods as they stood in ``src/``, written as
 functions of the classifier.
 """
 
-from typing import List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.dataplane.classifier import SAMPLE_HASH_RANGE, ClassifiedBatch, FlowClassifier
 from repro.dataplane.config import MonitoringConfig
+from repro.dataplane.encoder import DownstreamFlowEncoder, UpstreamFlowEncoder
 from repro.dataplane.hierarchy import FlowHierarchy
 from repro.network.simulator import (
     _INV_2_53,
     _POS_STRIDE,
     _SLOT_STRIDE,
     _U64,
+    MAX_LOSS_SEGMENTS,
+    distribute_losses_uniform,
+    epoch_loss_key,
     mix64,
 )
 
@@ -127,3 +137,100 @@ def loss_uniform(key: int, position: int, slot: int) -> float:
     """One uniform in [0, 1) keyed by (epoch key, trace position, segment slot)."""
     z = mix64((key + position * _POS_STRIDE + slot * _SLOT_STRIDE) & _U64)
     return (z >> 11) * _INV_2_53
+
+
+def _part_state(part) -> Any:
+    if part is None:
+        return None
+    return (
+        [row.tolist() for row in part._counts],
+        [[int(value) for value in row] for row in part._idsums],
+    )
+
+
+def reference_epoch(simulator, trace) -> Tuple[Dict[Any, Dict[str, Any]], Dict[str, Any]]:
+    """What ``simulator.run_epoch(trace)`` must leave behind, one flow at a time.
+
+    Call it on a simulator whose switches have not run the epoch yet; it
+    reads only their deployment (resources, seeds, prime, configuration) and
+    the simulator's seed and epoch counter.  Returns ``(state, truth)``:
+    ``state`` in the shape of ``collect_dataplane_state`` and ``truth`` the
+    ``EpochTruth`` fields as a dict.
+    """
+    topology = simulator.topology
+    num_hosts = topology.num_hosts
+    key = epoch_loss_key(simulator._seed, simulator._epoch_counter)
+    planes = {}
+    for node, switch in simulator.switches.items():
+        config = switch.config
+        args = (config.layout, switch.resources)
+        planes[node] = {
+            "config": config,
+            "classifier": FlowClassifier(switch.resources, seed=switch._base_seed),
+            "upstream": UpstreamFlowEncoder(
+                *args, base_seed=switch._base_seed, prime=switch._prime
+            ).parts,
+            "downstream": DownstreamFlowEncoder(
+                *args, base_seed=switch._base_seed, prime=switch._prime
+            ).parts,
+            "stats": [0, 0, 0, {hierarchy.name: 0 for hierarchy in FlowHierarchy}],
+        }
+    up_part = {
+        FlowHierarchy.HH_CANDIDATE: "hh",
+        FlowHierarchy.HL_CANDIDATE: "hl",
+        FlowHierarchy.SAMPLED_LL: "ll",
+    }
+    down_part = {
+        FlowHierarchy.HH_CANDIDATE: "hl",
+        FlowHierarchy.HL_CANDIDATE: "hl",
+        FlowHierarchy.SAMPLED_LL: "ll",
+    }
+    truth = {"flow_sizes": {}, "losses": {}, "per_switch_flows": {}}
+    for position, flow in enumerate(trace.flows):
+        flow_id, size = int(flow.flow_id), int(flow.size)
+        src = flow.src_host if flow.src_host is not None else 0
+        dst = flow.dst_host if flow.dst_host is not None else (src + 1) % num_hosts
+        ingress = topology.edge_switch_of_host(src)
+        egress = topology.edge_switch_of_host(dst)
+        truth["flow_sizes"][flow_id] = truth["flow_sizes"].get(flow_id, 0) + size
+        truth["per_switch_flows"][ingress] = truth["per_switch_flows"].get(ingress, 0) + 1
+        lost = int(flow.lost_packets) if flow.is_victim else 0
+        if lost > 0:
+            truth["losses"][flow_id] = truth["losses"].get(flow_id, 0) + lost
+        plane = planes[ingress]
+        segments = classify_flow_packets(plane["classifier"], flow_id, size, plane["config"])
+        stats = plane["stats"]
+        if size > 0:
+            stats[0] += size
+            stats[2] += 1
+        for hierarchy, count in segments:
+            stats[3][hierarchy.name] += count
+            name = up_part.get(hierarchy)
+            part = plane["upstream"].part(name) if name else None
+            if part is not None:
+                part.insert(flow_id, count)
+        if lost > 0:
+            uniforms = [loss_uniform(key, position, slot) for slot in range(MAX_LOSS_SEGMENTS)]
+            segments = distribute_losses_uniform(segments, lost, uniforms)
+        plane = planes[egress]
+        plane["stats"][1] += sum(count for _, count in segments)
+        for hierarchy, count in segments:
+            name = down_part.get(hierarchy)
+            part = plane["downstream"].part(name) if name else None
+            if part is not None and count > 0:
+                part.insert(flow_id, count)
+    state = {}
+    for node in sorted(planes, key=str):
+        plane = planes[node]
+        up, down, flows_seen, per_hierarchy = plane["stats"]
+        state[node] = {
+            "classifier": [row.tolist() for row in plane["classifier"].tower._counters],
+            "upstream": {
+                name: _part_state(plane["upstream"].part(name)) for name in ("hh", "hl", "ll")
+            },
+            "downstream": {
+                name: _part_state(plane["downstream"].part(name)) for name in ("hl", "ll")
+            },
+            "stats": (up, down, flows_seen, tuple(sorted(per_hierarchy.items()))),
+        }
+    return state, truth

@@ -311,7 +311,7 @@ class TestShardSupervision:
         pool._respawn = lambda: attempts  # keep the retry cheap
         try:
             with pytest.raises(ShardRecoveryExhausted, match="2 attempts"):
-                pool.run_epoch(trace.columns(), key=7, configs={})
+                pool.run_epoch(trace.columns(), key=7, config=None)
             assert len(attempts) == 2  # initial + max_respawns
             assert pool.closed
         finally:
@@ -334,7 +334,7 @@ class TestShardSupervision:
         pool._dispatch_epoch = buggy
         try:
             with pytest.raises(KeyError):
-                pool.run_epoch(trace.columns(), key=7, configs={})
+                pool.run_epoch(trace.columns(), key=7, config=None)
             assert len(attempts) == 1
         finally:
             pool.close()

@@ -1,5 +1,7 @@
 """Tests for network-wide analysis: loss detection and the accumulation tasks."""
 
+import random
+
 import pytest
 
 from repro.controlplane.analysis import (
@@ -16,9 +18,11 @@ from repro.controlplane.tasks import (
     heavy_hitter_detection,
     network_cardinality,
     network_flow_size,
+    network_flow_sizes,
     network_heavy_hitters,
 )
-from repro.dataplane.config import SwitchResources
+from repro.dataplane.config import MonitoringConfig, SwitchResources
+from repro.dataplane.switch import EdgeSwitch
 from repro.network.simulator import build_testbed_simulator
 from repro.sketches.fermat import MERSENNE_PRIME_61, MERSENNE_PRIME_127
 from repro.traffic.generator import generate_workload
@@ -204,3 +208,54 @@ class TestAccumulationTasks:
         for view in views.values():
             for flow_id, estimate in heavy_hitter_detection(view, 100).items():
                 assert estimate > 100
+
+
+class TestNetworkFlowSizes:
+    """The batched snapshot query against per-view scalar Tower queries."""
+
+    @staticmethod
+    def random_views(rng, resources, flow_ids):
+        groups, flowsets = {}, {}
+        for index in range(6):
+            # The last view comes from another deployment (other hashes).
+            seed = 3 if index < 5 else 4
+            config = MonitoringConfig(
+                layout=resources.healthy_initial_layout(),
+                threshold_high=rng.randrange(1, 300),
+            )
+            group = EdgeSwitch(index, resources=resources, config=config,
+                               base_seed=seed).end_epoch()
+            for level, counters in zip(group.classifier.tower.levels,
+                                       group.classifier.tower._counters):
+                # Mostly empty counters, some values, some saturated.
+                counters[:] = [
+                    rng.choice([0, 0, rng.randrange(level.saturation), level.saturation])
+                    for _ in range(counters.size)
+                ]
+            groups[index] = group
+            flowsets[index] = {
+                flow_id: rng.randrange(1, 500)
+                for flow_id in rng.sample(flow_ids, k=len(flow_ids) // 5)
+            }
+        return build_views(groups, flowsets)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batch_matches_per_flow_queries(self, seed):
+        rng = random.Random(seed)
+        resources = SwitchResources(classifier_levels=((4, 64), (8, 32)))
+        flow_ids = [rng.randrange(1 << 40) for _ in range(60)] + [1 << 100, 0]
+        flow_ids += flow_ids[:5]  # duplicates answer twice
+        views = self.random_views(rng, resources, flow_ids)
+        expected = [
+            max(flow_size_estimate(view, flow_id) for view in views.values())
+            for flow_id in flow_ids
+        ]
+        assert network_flow_sizes(views, flow_ids) == expected
+        assert [network_flow_size(views, flow_id) for flow_id in flow_ids] == expected
+
+    def test_empty_inputs(self):
+        rng = random.Random(3)
+        views = self.random_views(rng, SwitchResources.scaled(0.05), [1, 2, 3, 4, 5])
+        assert network_flow_sizes(views, []) == []
+        assert network_flow_sizes({}, [7, 8]) == [0, 0]
+        assert network_flow_size({}, 7) == 0

@@ -1,12 +1,13 @@
 """Tests for the ChameleMon data plane: config, classifier, encoders, edge switch."""
 
+import numpy as np
 import pytest
 
-from repro.dataplane.classifier import FlowClassifier
+from repro.dataplane.classifier import FlowClassifier, classify_flows
 from repro.dataplane.config import EncoderLayout, MonitoringConfig, SwitchResources
 from repro.dataplane.encoder import DownstreamFlowEncoder, UpstreamFlowEncoder, accumulate_parts
 from repro.dataplane.hierarchy import FlowHierarchy
-from repro.dataplane.switch import EdgeSwitch
+from repro.dataplane.switch import EdgeSwitch, process_downstream, process_upstream
 from repro.sketches.fermat import MERSENNE_PRIME_61
 
 from dataplane_reference import batch_segments, classify_packet, is_sampled
@@ -14,6 +15,17 @@ from dataplane_reference import batch_segments, classify_packet, is_sampled
 
 def small_resources():
     return SwitchResources.scaled(0.05)
+
+
+def classify(classifier, flow_ids, sizes, config):
+    """One switch's batch through the fabric classifier."""
+    owner = np.zeros(len(flow_ids), dtype=np.int64)
+    return classify_flows([classifier], owner, flow_ids, sizes, config)
+
+
+def upstream(switch, flow_ids, sizes):
+    """One switch's batch through the fabric upstream pass."""
+    return process_upstream([switch], np.zeros(len(flow_ids), dtype=np.int64), flow_ids, sizes)
 
 
 class TestConfig:
@@ -65,6 +77,32 @@ class TestConfig:
             resources.validate_layout(resources.ill_layout)
             resources.validate_layout(resources.healthy_initial_layout())
 
+    def test_every_scale_validates(self):
+        for percent in range(1, 101):
+            resources = SwitchResources.scaled(percent / 100)
+            resources.validate_layout(resources.ill_layout)
+            resources.validate_layout(resources.healthy_initial_layout())
+
+    def test_valid_scales_keep_their_ill_layout(self):
+        # The ill layout before HL was clamped to the downstream encoder:
+        # every scale where that layout was valid must keep it exactly.
+        kept = 0
+        for percent in range(1, 101):
+            scale = percent / 100
+            upstream = max(48, int(4096 * scale))
+            downstream = max(36, int(3072 * scale))
+            hh = max(12, int(1024 * scale))
+            ll = max(6, int(512 * scale))
+            unclamped = EncoderLayout(m_hh=hh, m_hl=upstream - hh - ll, m_ll=ll)
+            layout = SwitchResources.scaled(scale).ill_layout
+            if unclamped.m_hl + ll <= downstream:
+                assert layout == unclamped
+                kept += 1
+            else:
+                assert layout.m_hl + layout.m_ll == downstream
+                assert layout.m_ll == ll and layout.m_uf == upstream
+        assert kept == 52
+
     def test_scaled_validation(self):
         with pytest.raises(ValueError):
             SwitchResources.scaled(0)
@@ -85,7 +123,7 @@ class TestClassifier:
             sample_rate=1.0,
         )
         flow = 12345
-        segments = batch_segments(classifier.classify_flows_arrays([flow], [150], config))[0]
+        segments = batch_segments(classify(classifier, [flow], [150], config))[0]
         hierarchy_counts = {h: c for h, c in segments}
         assert hierarchy_counts[FlowHierarchy.SAMPLED_LL] == 9
         assert hierarchy_counts[FlowHierarchy.HL_CANDIDATE] == 90
@@ -103,7 +141,7 @@ class TestClassifier:
         chunked = FlowClassifier(resources, seed=2)
         per_packet = FlowClassifier(resources, seed=2)
         flow = 777
-        segments = batch_segments(chunked.classify_flows_arrays([flow], [40], config))[0]
+        segments = batch_segments(classify(chunked, [flow], [40], config))[0]
         expanded = [h for h, count in segments for _ in range(count)]
         singles = [classify_packet(per_packet, flow, config) for _ in range(40)]
         assert expanded == singles
@@ -112,7 +150,7 @@ class TestClassifier:
         resources = small_resources()
         classifier = FlowClassifier(resources, seed=3)
         config = resources.initial_config()
-        segments = batch_segments(classifier.classify_flows_arrays([1], [10], config))
+        segments = batch_segments(classify(classifier, [1], [10], config))
         assert segments == [[(FlowHierarchy.HH_CANDIDATE, 10)]]
 
     def test_sampling_is_deterministic_per_flow(self):
@@ -124,7 +162,7 @@ class TestClassifier:
             threshold_low=1000,
             sample_rate=0.5,
         )
-        batch = classifier.classify_flows_arrays([42, 42], [1, 1], config)
+        batch = classify(classifier, [42, 42], [1, 1], config)
         assert batch.sampled.tolist() == [is_sampled(classifier, 42, config)] * 2
 
     def test_sampling_rate_roughly_respected(self):
@@ -137,7 +175,7 @@ class TestClassifier:
             sample_rate=0.25,
         )
         flows = list(range(4000))
-        sampled = classifier.classify_flows_arrays(flows, [1] * 4000, config).sampled
+        sampled = classify(classifier, flows, [1] * 4000, config).sampled
         assert sampled.tolist() == [is_sampled(classifier, flow, config) for flow in flows]
         assert 0.18 < sampled.sum() / 4000 < 0.32
 
@@ -149,15 +187,15 @@ class TestClassifier:
         high = MonitoringConfig(layout=resources.healthy_initial_layout(),
                                 threshold_high=10, threshold_low=10, sample_rate=1.0)
         flows, sizes = list(range(100)), [1] * 100
-        assert not classifier.classify_flows_arrays(flows, sizes, low).sampled.any()
-        assert classifier.classify_flows_arrays(flows, sizes, high).sampled.all()
+        assert not classify(classifier, flows, sizes, low).sampled.any()
+        assert classify(classifier, flows, sizes, high).sampled.all()
 
     def test_empty_flow(self):
-        resources = small_resources()
-        classifier = FlowClassifier(resources, seed=7)
-        batch = classifier.classify_flows_arrays([1], [0], resources.initial_config())
+        switch = EdgeSwitch("e0", resources=small_resources(), base_seed=7)
+        batch = upstream(switch, [1], [0])
         assert batch_segments(batch) == [[]]
-        assert batch.flows_seen == 0
+        assert switch.stats.flows_seen == 0
+        assert switch.stats.packets_upstream == 0
 
 
 class TestEncoders:
@@ -213,14 +251,14 @@ class TestEncoders:
 class TestEdgeSwitch:
     def test_upstream_segments_total(self):
         switch = EdgeSwitch("e0", resources=small_resources(), base_seed=1)
-        batch = switch.process_flows_upstream_arrays([123], [40])
+        batch = upstream(switch, [123], [40])
         assert sum(count for _, count in batch_segments(batch)[0]) == 40
         assert switch.stats.packets_upstream == 40
 
     def test_downstream_encoding(self):
         switch = EdgeSwitch("e0", resources=small_resources(), base_seed=2)
-        batch = switch.process_flows_upstream_arrays([55], [10])
-        switch.process_flows_downstream_arrays(batch.grouped_arrays(), batch.packets)
+        batch = upstream(switch, [55], [10])
+        process_downstream([switch], np.zeros(1, dtype=np.int64), batch)
         assert switch.stats.packets_downstream == 10
 
     def test_config_staging_applies_next_epoch(self):
@@ -236,7 +274,7 @@ class TestEdgeSwitch:
 
     def test_rotate_returns_finished_group(self):
         switch = EdgeSwitch("e0", resources=small_resources(), base_seed=4)
-        switch.process_flows_upstream_arrays([9], [5])
+        upstream(switch, [9], [5])
         finished = switch.rotate_epoch()
         assert finished.upstream.parts.hh.decode_nondestructive().flows == {9: 5}
         # the new group is empty
@@ -257,5 +295,5 @@ class TestEdgeSwitch:
 
     def test_query_flow_size(self):
         switch = EdgeSwitch("e0", resources=small_resources(), base_seed=5)
-        switch.process_flows_upstream_arrays([77], [12])
+        upstream(switch, [77], [12])
         assert switch.query_flow_size(77) >= 12

@@ -79,6 +79,29 @@ class TestAttentionShifts:
         final = system.results[-1]
         assert final.config.layout.m_ll > 0 or final.level is NetworkLevel.ILL
 
+    def test_fabric_at_scale_0_2_runs_the_ill_layout(self):
+        # At scale 0.2 the ill layout used to round HL one bucket past the
+        # downstream encoder, so the healthy -> ill transition raised.
+        from repro.network.topology import FatTreeSpec, FatTreeTopology
+        from repro.sketches.fermat import MERSENNE_PRIME_61
+
+        topology = FatTreeTopology(FatTreeSpec(k=8))
+        system = make_system(
+            scale=0.2, seed=5, prime=MERSENNE_PRIME_61, topology=topology,
+            history_limit=2, destructive_analysis=True,
+        )
+        levels = []
+        for epoch in range(4):
+            trace = generate_workload(
+                "DCTCP", num_flows=3000, victim_ratio=0.5, loss_rate=0.1,
+                num_hosts=system.num_hosts, seed=5 + epoch, use_five_tuple=False,
+            )
+            levels.append(system.run_epoch(trace).level)
+        assert NetworkLevel.ILL in levels[:3]
+        ill = system.resources.ill_layout
+        assert system.current_config().layout == ill
+        assert ill.m_hl + ill.m_ll <= system.resources.downstream_buckets
+
     def test_returns_to_healthy_when_losses_stop(self):
         system = make_system(seed=8)
         for epoch in range(7):

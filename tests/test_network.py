@@ -1,10 +1,11 @@
 """Tests for the fat-tree topology, ECMP routing, and the packet-level simulator."""
 
 import random
+import re
 
 import pytest
 
-from repro.dataplane.config import SwitchResources
+from repro.dataplane.config import MonitoringConfig, SwitchResources
 from repro.dataplane.hierarchy import FlowHierarchy
 from repro.dataplane.switch import EdgeSwitch
 from repro.network.routing import EcmpRouter
@@ -144,6 +145,45 @@ class TestSimulator:
         egress = simulator.edge_switch_for_host(7)
         assert ingress.stats.packets_upstream == 30
         assert egress.stats.packets_downstream == 26
+
+    @pytest.mark.parametrize("differs", ["resources", "base_seed", "prime", "config"])
+    def test_mixed_deployment_rejected(self, differs):
+        resources = SwitchResources.scaled(0.05)
+        simulator = build_testbed_simulator(resources=resources, seed=2)
+        node = simulator.edge_nodes[2]
+        kwargs = dict(resources=resources, base_seed=2,
+                      prime=simulator.switches[node]._prime)
+        if differs == "resources":
+            kwargs["resources"] = SwitchResources.scaled(0.06)
+        elif differs == "base_seed":
+            kwargs["base_seed"] = 3
+        elif differs == "prime":
+            kwargs["prime"] = (1 << 61) - 1
+        else:
+            kwargs["config"] = MonitoringConfig(
+                layout=resources.ill_layout, threshold_high=9, threshold_low=3,
+                sample_rate=0.5,
+            )
+        simulator.switches[node] = EdgeSwitch(node, **kwargs)
+        trace = Trace(flows=[FlowRecord(flow_id=5, size=3, src_host=0, dst_host=7)])
+        with pytest.raises(ValueError, match=re.escape(f"edge switch {node} differs")):
+            simulator.run_epoch(trace)
+
+    def test_mixed_deployment_names_first_differing_switch(self):
+        resources = SwitchResources.scaled(0.05)
+        simulator = build_testbed_simulator(resources=resources, seed=2)
+        ill = MonitoringConfig(layout=resources.ill_layout, threshold_high=9,
+                               threshold_low=3, sample_rate=0.5)
+        for node in simulator.edge_nodes[1:]:
+            simulator.switches[node].apply_config(ill)
+        simulator.switches[simulator.edge_nodes[3]].begin_epoch()
+        simulator.switches[simulator.edge_nodes[1]].begin_epoch()
+        trace = Trace(flows=[FlowRecord(flow_id=5, size=3, src_host=0, dst_host=7)])
+        with pytest.raises(ValueError, match=re.escape(
+            f"edge switch {simulator.edge_nodes[1]} differs from "
+            f"{simulator.edge_nodes[0]} in its configuration"
+        )):
+            simulator.run_epoch(trace)
 
     def test_missing_dataplane_raises(self):
         simulator = NetworkSimulator()

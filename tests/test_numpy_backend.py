@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.tower_fermat import TowerFermat
-from repro.dataplane.classifier import FlowClassifier
+from repro.dataplane.classifier import FlowClassifier, classify_flows
 from repro.dataplane.config import EncoderLayout, MonitoringConfig, SwitchResources
 from repro.network.simulator import _hypergeometric_u, distribute_losses_uniform
 from repro.dataplane.hierarchy import FlowHierarchy
@@ -24,7 +24,7 @@ from repro.sketches.fermat import (
     MERSENNE_PRIME_127,
     FermatSketch,
 )
-from repro.sketches.hashing import HashFamily, KeyArray, PairwiseHash
+from repro.sketches.hashing import HashFamily, KeyArray, PairwiseHash, modmul_array
 from repro.sketches.tower import TowerSketch
 
 from dataplane_reference import batch_segments, classify_flow_packets
@@ -61,6 +61,22 @@ class TestHashArray:
     def test_empty_batch(self):
         h = HashFamily(seed=1).draw(10)
         assert h.hash_array([]).size == 0
+
+    @pytest.mark.parametrize("prime", [(1 << 61) - 1, (1 << 89) - 1, (1 << 127) - 1])
+    def test_batches_longer_than_a_kernel_slice(self, prime):
+        # The limb kernels run a slice of keys at a time; the slices must
+        # join up to the scalar results across every boundary.
+        rng = np.random.default_rng(prime % 1000)
+        keys = rng.integers(0, 1 << 63, 2 * 65536 + 17, dtype=np.uint64)
+        key_list = keys.tolist()
+        h = HashFamily(seed=4, prime=prime).draw(1009)
+        assert h.hash_array(keys).tolist() == [h(k) for k in key_list]
+        factors = rng.integers(0, 1 << 31, keys.size, dtype=np.uint64)
+        limbs = modmul_array(KeyArray(keys), factors, prime)
+        products = [0] * keys.size
+        for row in reversed(limbs.tolist()):
+            products = [(value << 32) | limb for value, limb in zip(products, row)]
+        assert products == [(k * f) % prime for k, f in zip(key_list, factors.tolist())]
 
     def test_rejects_negative_keys(self):
         h = HashFamily(seed=1).draw(10)
@@ -148,6 +164,26 @@ class TestSketchBatchEquivalence:
         assert batched_decode.success
         assert batched_decode.flows == dict(zip(ids, sizes))
 
+    @pytest.mark.parametrize(
+        "prime,fingerprint_bits",
+        [(101, 0), (1000003, 0), (MERSENNE_PRIME_61, 8), (MERSENNE_PRIME_127, 8)],
+    )
+    def test_fermat_batch_fallback_counts_match_scalar(self, prime, fingerprint_bits):
+        # Negative counts, counts of 2**31 and non-Mersenne primes take the
+        # per-element IDsum path of the batch encoder.
+        rng = random.Random(prime % 97)
+        top = min(prime >> fingerprint_bits, 1 << 40)
+        ids = [rng.randrange(1, top) for _ in range(200)]
+        counts = [rng.choice([-5, -1, 1, 3, 1 << 31, 7]) for _ in ids]
+        scalar = FermatSketch(37, prime=prime, seed=3, fingerprint_bits=fingerprint_bits)
+        batched = scalar.empty_like()
+        for flow_id, count in zip(ids, counts):
+            scalar.insert(flow_id, count)
+        batched.insert_batch(ids, counts)
+        for i in range(scalar.num_arrays):
+            assert (scalar._counts[i] == batched._counts[i]).all()
+            assert scalar._idsums[i].tolist() == batched._idsums[i].tolist()
+
     def test_fermat_batch_respects_prime_bound(self):
         sketch = FermatSketch(64, prime=MERSENNE_PRIME_61, fingerprint_bits=0)
         with pytest.raises(ValueError):
@@ -172,9 +208,38 @@ class TestSketchBatchEquivalence:
             assert scalar.query(flow_id) == batched.query(flow_id)
 
 
+def walk_and_classify(resources, seed, config, ids, sizes, num_switches, owner_seed):
+    """The per-flow walk on one classifier per switch, and the fabric pass.
+
+    Returns ``(expected segments, walked classifiers, got segments, fabric
+    classifiers)``; flow ``r`` enters at a random switch, and each switch
+    sees its flows in batch order.
+    """
+    owners = random.Random(owner_seed).choices(range(num_switches), k=len(ids))
+    walked = [FlowClassifier(resources, seed=seed) for _ in range(num_switches)]
+    batched = [FlowClassifier(resources, seed=seed) for _ in range(num_switches)]
+    expected = [
+        classify_flow_packets(walked[owner], flow_id, size, config)
+        for owner, flow_id, size in zip(owners, ids, sizes)
+    ]
+    got = batch_segments(
+        classify_flows(batched, np.array(owners, dtype=np.int64), ids, sizes, config)
+    )
+    return expected, walked, got, batched
+
+
+def assert_same_counters(walked, batched):
+    for scalar, vectorized in zip(walked, batched):
+        for level in range(len(scalar.tower.levels)):
+            assert np.array_equal(
+                scalar.tower.counter_array(level), vectorized.tower.counter_array(level)
+            )
+
+
 class TestClassifierBatch:
+    @pytest.mark.parametrize("num_switches", [1, 4])
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_segments_identical(self, seed):
+    def test_segments_identical(self, seed, num_switches):
         resources = SwitchResources.scaled(0.05)
         config = MonitoringConfig(
             layout=resources.ill_layout,
@@ -183,26 +248,20 @@ class TestClassifierBatch:
             sample_rate=0.5,
         )
         ids, sizes = random_flows(seed, count=600, key_bits=32, max_size=120)
-        scalar = FlowClassifier(resources, seed=seed)
-        batched = FlowClassifier(resources, seed=seed)
-        expected = [
-            classify_flow_packets(scalar, flow_id, size, config)
-            for flow_id, size in zip(ids, sizes)
-        ]
-        got = batch_segments(batched.classify_flows_arrays(ids, sizes, config))
+        expected, walked, got, batched = walk_and_classify(
+            resources, seed, config, ids, sizes, num_switches, owner_seed=seed
+        )
         assert got == expected
-        for level in range(len(resources.classifier_levels)):
-            assert np.array_equal(
-                scalar.tower.counter_array(level), batched.tower.counter_array(level)
-            )
+        assert_same_counters(walked, batched)
 
 
 class TestClassifierSaturationAndGenericPaths:
+    @pytest.mark.parametrize("num_switches", [1, 4])
     @pytest.mark.parametrize(
         "levels",
         [((4, 32), (6, 16)), ((4, 32),), ((4, 64), (6, 32), (8, 16))],
     )
-    def test_saturation_heavy_batches_match_scalar(self, levels):
+    def test_saturation_heavy_batches_match_scalar(self, levels, num_switches):
         # Tiny, narrow counters force constant saturation crossings, which
         # exercises the vectorized classifier's sequential fallback (2 levels)
         # and the generic non-2-level walk.
@@ -222,18 +281,11 @@ class TestClassifierSaturationAndGenericPaths:
         rng = random.Random(42)
         ids = [rng.randrange(1, 1 << 32) for _ in range(400)]
         sizes = [rng.randrange(1, 60) for _ in range(400)]
-        scalar = FlowClassifier(resources, seed=9)
-        batched = FlowClassifier(resources, seed=9)
-        expected = [
-            classify_flow_packets(scalar, flow_id, size, config)
-            for flow_id, size in zip(ids, sizes)
-        ]
-        got = batch_segments(batched.classify_flows_arrays(ids, sizes, config))
+        expected, walked, got, batched = walk_and_classify(
+            resources, 9, config, ids, sizes, num_switches, owner_seed=42
+        )
         assert got == expected
-        for level in range(len(levels)):
-            assert np.array_equal(
-                scalar.tower.counter_array(level), batched.tower.counter_array(level)
-            )
+        assert_same_counters(walked, batched)
 
 
 class TestHypergeometricLosses:

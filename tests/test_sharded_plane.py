@@ -230,6 +230,25 @@ class TestPoolLifecycle:
         finally:
             simulator.close()
 
+    def test_mixed_deployment_rejected(self):
+        from repro.dataplane.config import MonitoringConfig
+
+        trace = generate_workload("DCTCP", num_flows=50, victim_ratio=0.1, seed=0)
+        simulator = build_testbed_simulator(resources=RESOURCES, seed=0)
+        node = simulator.edge_nodes[1]
+        switch = simulator.switches[node]
+        switch.apply_config(MonitoringConfig(
+            layout=RESOURCES.ill_layout, threshold_high=9, threshold_low=3,
+            sample_rate=0.5,
+        ))
+        switch.begin_epoch()
+        try:
+            with pytest.raises(ValueError, match=f"edge switch .*{node[1]}.* differs"):
+                simulator.run_epoch(trace, shards=2)
+            assert simulator.shard_pool is None
+        finally:
+            simulator.close()
+
     def test_worker_exception_closes_pool(self):
         # Detach one edge switch: the owning worker raises the same KeyError
         # the serial path would, and the simulator tears the pool down.
