@@ -3,9 +3,8 @@
 :mod:`repro.chaos.inject` holds the whole subsystem: declarative
 :class:`FaultSpec` entries, the seed-keyed :class:`FaultInjector` whose
 substreams mirror ``epoch_loss_key``, the shared fault/recovery accounting
-(:class:`ChaosMonitor`), and the supervision/retry policies the hardened
-runtime layers consume (:class:`SupervisionPolicy` for the shard pool,
-:class:`RetryPolicy` for sink writes).
+(:class:`ChaosMonitor`), and the retry policy the sinks consume for their
+writes (:class:`RetryPolicy`).
 """
 
 from .inject import (
@@ -15,14 +14,10 @@ from .inject import (
     ChaosSpecError,
     FaultInjector,
     FaultSpec,
-    InjectedFault,
     RetryPolicy,
-    SupervisionPolicy,
     chaos_key,
-    chaos_mix64,
     chaos_uniform,
     corrupt_checkpoint,
-    execute_worker_fault,
 )
 
 __all__ = [
@@ -30,14 +25,10 @@ __all__ = [
     "ChaosMonitor",
     "ChaosSpecError",
     "chaos_key",
-    "chaos_mix64",
     "chaos_uniform",
     "corrupt_checkpoint",
-    "execute_worker_fault",
     "FAULT_KINDS",
     "FaultInjector",
     "FaultSpec",
-    "InjectedFault",
     "RetryPolicy",
-    "SupervisionPolicy",
 ]

@@ -3,12 +3,10 @@
 The paper's pitch is monitoring a network *while it is unhealthy*; this
 module makes our own runtime observable under the same conditions.  A
 :class:`FaultInjector` holds a set of declarative :class:`FaultSpec` entries
-— shard-worker crash/hang at epoch *k*, checkpoint truncation or bit-flips,
-sink ``OSError`` on flush, netstate diff-line corruption, metrics-port bind
-failure — and arms them at injection points threaded through
-:class:`~repro.dataplane.sharded.ShardPool`,
-:class:`~repro.service.service.TelemetryService`, the file sinks, and
-:mod:`repro.service.netstate`.
+— checkpoint truncation or bit-flips, sink ``OSError`` on flush, netstate
+diff-line corruption, metrics-port bind failure — and arms them at injection
+points threaded through :class:`~repro.service.service.TelemetryService`, the
+file sinks, and :mod:`repro.service.netstate`.
 
 Everything here is **deterministic given the seed**.  Fault selection is
 declarative (epoch-matched specs fire in arrival order), and every random
@@ -23,10 +21,7 @@ Spec files (``repro.cli serve --chaos SPEC.json``)::
 
     {
       "seed": 7,                      // optional, defaults to the run seed
-      "supervision": {"task_timeout": 30.0, "max_respawns": 2},
       "faults": [
-        {"kind": "shard_crash", "epoch": 3, "shard": 1, "mode": "kill"},
-        {"kind": "shard_hang", "epoch": 5, "shard": 0, "seconds": 60},
         {"kind": "checkpoint_corrupt", "epoch": 6, "mode": "bitflip"},
         {"kind": "sink_flush_error", "epoch": 2},
         {"kind": "netstate_corrupt", "count": 2},
@@ -45,29 +40,15 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-_U64 = (1 << 64) - 1
-_KEY_GAMMA = 0x9E3779B97F4A7C15
-_MIX_1 = 0xBF58476D1CE4E5B9
-_MIX_2 = 0x94D049BB133111EB
-_INV_2_53 = 2.0 ** -53
+from ..network.simulator import _INV_2_53, _KEY_GAMMA, _U64, mix64
 
 #: Every fault kind the injector understands, with its injection site.
 FAULT_KINDS = (
-    "shard_crash",        # ShardPool worker raises/dies during a phase task
-    "shard_hang",         # ShardPool worker sleeps past the task timeout
     "checkpoint_corrupt",  # TelemetryService corrupts the .rtck after writing
     "sink_flush_error",   # JsonlSink/CsvSink write raises OSError
     "netstate_corrupt",   # read_state_diffs sees garbled feed lines
     "metrics_bind_error",  # MetricsServer bind raises OSError
 )
-
-
-def chaos_mix64(value: int) -> int:
-    """SplitMix64 finalizer (same avalanche as ``repro.network.simulator.mix64``)."""
-    value &= _U64
-    value = ((value ^ (value >> 30)) * _MIX_1) & _U64
-    value = ((value ^ (value >> 27)) * _MIX_2) & _U64
-    return value ^ (value >> 31)
 
 
 def chaos_key(seed: int, site: str, epoch: int = 0) -> int:
@@ -78,20 +59,16 @@ def chaos_key(seed: int, site: str, epoch: int = 0) -> int:
     """
     site_word = 0
     for byte in site.encode("utf-8"):
-        site_word = chaos_mix64(site_word * 31 + byte)
-    return chaos_mix64(
-        (chaos_mix64(seed & _U64) + site_word + (epoch + 1) * _KEY_GAMMA) & _U64
+        site_word = mix64(site_word * 31 + byte)
+    return mix64(
+        (mix64(seed & _U64) + site_word + (epoch + 1) * _KEY_GAMMA) & _U64
     )
 
 
 def chaos_uniform(seed: int, site: str, epoch: int = 0, draw: int = 0) -> float:
     """One uniform in [0, 1) from the (seed, site, epoch) substream."""
-    z = chaos_mix64((chaos_key(seed, site, epoch) + (draw + 1) * _KEY_GAMMA) & _U64)
+    z = mix64((chaos_key(seed, site, epoch) + (draw + 1) * _KEY_GAMMA) & _U64)
     return (z >> 11) * _INV_2_53
-
-
-class InjectedFault(Exception):
-    """Raised by an injected crash so supervisors can tell it from real bugs."""
 
 
 class ChaosSpecError(ValueError):
@@ -105,8 +82,8 @@ class FaultSpec:
     ``epoch=None`` fires at the first eligible injection-point visit;
     ``count`` is how many times the spec fires before disarming (injection
     points are visited in deterministic order, so firing is reproducible).
-    Kind-specific knobs live in ``params`` (``shard``, ``mode``, ``seconds``,
-    ``count`` of lines, ...).
+    Kind-specific knobs live in ``params`` (``mode``, ``target``, ``lines``,
+    ...).
     """
 
     kind: str
@@ -143,38 +120,6 @@ class FaultSpec:
             count=count,
             params=data,
         )
-
-
-@dataclass(frozen=True)
-class SupervisionPolicy:
-    """How the shard pool reacts to worker crashes and hangs.
-
-    ``task_timeout`` bounds each phase's wall time (``None`` disables hang
-    detection); a failed epoch is retried on a respawned pool up to
-    ``max_respawns`` times with exponential backoff jittered from the chaos
-    substream (attempt ``i`` sleeps ``backoff_base * 2**i * (0.5 + u/2)``,
-    capped at ``backoff_cap``).  Recomputed epochs are bit-identical to the
-    fault-free run: workers are stateless between epochs and loss draws are
-    keyed on (seed, epoch, trace position), never on execution order.
-    """
-
-    task_timeout: Optional[float] = None
-    max_respawns: int = 2
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "SupervisionPolicy":
-        known = {f for f in ("task_timeout", "max_respawns", "backoff_base", "backoff_cap")}
-        unknown = set(payload) - known
-        if unknown:
-            raise ChaosSpecError(f"unknown supervision keys {sorted(unknown)}")
-        return cls(**payload)
-
-    def backoff_delay(self, seed: int, site: str, epoch: int, attempt: int) -> float:
-        """The attempt's jittered backoff sleep, deterministic given the seed."""
-        jitter = chaos_uniform(seed, f"backoff/{site}", epoch, attempt)
-        return min(self.backoff_cap, self.backoff_base * (2 ** attempt) * (0.5 + jitter / 2))
 
 
 @dataclass(frozen=True)
@@ -294,21 +239,18 @@ class FaultInjector:
 
     Components ask the injector whether a fault fires at their site
     (:meth:`take`); fired specs decrement their remaining count and are
-    tallied on the shared :class:`ChaosMonitor`.  All decisions are made in
-    the parent process in deterministic visit order, so a run with the same
-    seed and spec injects identically — including the worker-side faults,
-    which ship to the shard workers as plain picklable descriptors.
+    tallied on the shared :class:`ChaosMonitor`.  Sites are visited in
+    deterministic order, so a run with the same seed and spec injects
+    identically.
     """
 
     def __init__(
         self,
         seed: int = 0,
         faults: Sequence[FaultSpec] = (),
-        supervision: Optional[SupervisionPolicy] = None,
         monitor: Optional[ChaosMonitor] = None,
     ) -> None:
         self.seed = int(seed)
-        self.supervision = supervision
         self.monitor = monitor if monitor is not None else ChaosMonitor()
         self._lock = threading.Lock()
         self._armed: List[Tuple[FaultSpec, int]] = [
@@ -324,19 +266,13 @@ class FaultInjector:
         monitor: Optional[ChaosMonitor] = None,
     ) -> "FaultInjector":
         """Build an injector from a parsed chaos spec dict."""
-        unknown = set(spec) - {"seed", "supervision", "faults"}
+        unknown = set(spec) - {"seed", "faults"}
         if unknown:
             raise ChaosSpecError(f"unknown chaos spec keys {sorted(unknown)}")
         faults = [FaultSpec.from_dict(entry) for entry in spec.get("faults", [])]
-        supervision = (
-            SupervisionPolicy.from_dict(spec["supervision"])
-            if "supervision" in spec
-            else None
-        )
         return cls(
             seed=int(spec.get("seed", default_seed)),
             faults=faults,
-            supervision=supervision,
             monitor=monitor,
         )
 
@@ -399,43 +335,6 @@ class FaultInjector:
                 self.monitor.fault(kind)
                 return spec
         return None
-
-    def take_all(
-        self,
-        kind: str,
-        epoch: Optional[int] = None,
-        where: Optional[Callable[[FaultSpec], bool]] = None,
-    ) -> List[FaultSpec]:
-        """Fire every armed spec matching this site visit (shard faults)."""
-        fired = []
-        while True:
-            spec = self.take(kind, epoch, where)
-            if spec is None:
-                return fired
-            fired.append(spec)
-
-    # -- injection-point adapters --------------------------------------- #
-    def shard_faults(self, epoch: int, num_shards: int) -> List[Dict[str, Any]]:
-        """Worker-fault descriptors for this epoch (picklable, parent-decided).
-
-        ``shard_crash`` modes: ``"exception"`` (the task raises
-        :class:`InjectedFault`) or ``"kill"`` (the worker process dies hard,
-        breaking the pool); ``shard_hang`` sleeps ``seconds`` in the task so
-        the supervisor's per-task timeout trips.
-        """
-        descriptors: List[Dict[str, Any]] = []
-        for spec in self.take_all("shard_crash", epoch):
-            descriptors.append({
-                "shard": int(spec.params.get("shard", 0)) % max(1, num_shards),
-                "mode": str(spec.params.get("mode", "exception")),
-            })
-        for spec in self.take_all("shard_hang", epoch):
-            descriptors.append({
-                "shard": int(spec.params.get("shard", 0)) % max(1, num_shards),
-                "mode": "hang",
-                "seconds": float(spec.params.get("seconds", 60.0)),
-            })
-        return descriptors
 
     def sink_hook(self, target: str = "records") -> Callable[[Dict[str, Any]], None]:
         """A ``fault_hook`` for the file sinks: raises ``OSError`` when armed.
@@ -516,26 +415,6 @@ class FaultInjector:
 
 
 # --------------------------------------------------------------------------- #
-# worker-side fault execution (ShardPool phase tasks)
-# --------------------------------------------------------------------------- #
-def execute_worker_fault(fault: Optional[Dict[str, Any]]) -> None:
-    """Run one parent-decided worker fault descriptor inside a shard task."""
-    if not fault:
-        return
-    mode = fault.get("mode", "exception")
-    if mode == "exception":
-        raise InjectedFault(f"injected shard crash (shard {fault.get('shard')})")
-    if mode == "kill":
-        os._exit(1)  # hard death: the executor sees a broken pool
-    if mode == "hang":
-        import time
-
-        time.sleep(float(fault.get("seconds", 60.0)))
-        raise InjectedFault(f"injected shard hang ended (shard {fault.get('shard')})")
-    raise ChaosSpecError(f"unknown shard fault mode '{mode}'")
-
-
-# --------------------------------------------------------------------------- #
 # checkpoint corruption (injection + property tests)
 # --------------------------------------------------------------------------- #
 #: Corruption modes understood by :func:`corrupt_checkpoint`, each targeting
@@ -583,7 +462,7 @@ def corrupt_checkpoint(path: str, mode: str = "bitflip", key: int = 0) -> None:
         _HEADER_STRUCT.pack_into(data, 0, magic, version, reserved, len(data) + 1, length)
     elif mode == "manifest":
         _, _, _, offset, length = _HEADER_STRUCT.unpack_from(data)
-        position = offset + chaos_mix64(key) % max(1, length)
+        position = offset + mix64(key) % max(1, length)
         data[position] = 0x00  # NUL is never valid inside a JSON manifest
     elif mode == "blob_bounds":
         _, _, _, offset, length = _HEADER_STRUCT.unpack_from(data)
@@ -591,7 +470,7 @@ def corrupt_checkpoint(path: str, mode: str = "bitflip", key: int = 0) -> None:
         blobs = manifest.get("blobs") or {}
         if not blobs:
             raise ChaosSpecError(f"checkpoint '{path}' has no blobs to corrupt")
-        name = sorted(blobs)[chaos_mix64(key) % len(blobs)]
+        name = sorted(blobs)[mix64(key) % len(blobs)]
         blobs[name]["offset"] = len(data)
         encoded = json.dumps(manifest, sort_keys=True).encode("utf-8")
         data = bytearray(data[:offset] + encoded)
@@ -603,8 +482,8 @@ def corrupt_checkpoint(path: str, mode: str = "bitflip", key: int = 0) -> None:
     else:  # bitflip
         if len(data) <= _DATA_START:
             raise ChaosSpecError(f"checkpoint '{path}' is too small to bit-flip")
-        position = _DATA_START + chaos_mix64(key) % (len(data) - _DATA_START)
-        data[position] ^= 1 << (chaos_mix64(key + 1) % 8)
+        position = _DATA_START + mix64(key) % (len(data) - _DATA_START)
+        data[position] ^= 1 << (mix64(key + 1) % 8)
     with open(path, "wb") as handle:
         handle.write(bytes(data))
         handle.flush()

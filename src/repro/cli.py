@@ -249,9 +249,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
     try:
         overrides: Dict[str, Any] = _parse_overrides(args.overrides)
-        # The global --scale / --loss-rate / --shards knobs apply wherever the
-        # scenario has the matching parameter; explicit --set overrides win.
-        for knob in ("scale", "loss_rate", "shards"):
+        # The global --scale / --loss-rate knobs apply wherever the scenario
+        # has the matching parameter; explicit --set overrides win.
+        for knob in ("scale", "loss_rate"):
             value = getattr(args, knob)
             if value is not None and knob in spec.params and knob not in overrides:
                 overrides[knob] = value
@@ -493,42 +493,40 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 diffs = read_state_diffs(args.state_diffs)
             events = [compile_state_diff(diff) for diff in diffs]
         events += _build_flag_events(args)
+        resources = SwitchResources.scaled(args.scale if args.scale is not None else 0.05)
+        sinks = []
+        if args.jsonl_out:
+            sinks.append(JsonlSink(args.jsonl_out))
+        if args.csv_out:
+            sinks.append(CsvSink(args.csv_out))
+        stdout_taken = args.jsonl_out == "-" or args.csv_out == "-"
+        if not args.quiet and not stdout_taken:
+            sinks.append(ConsoleSink())
+        engine = StreamingEngine(
+            source,
+            events=events,
+            sinks=sinks,
+            resources=resources,
+            seed=seed,
+            rolling_window=args.rolling_window,
+            tracer=tracer,
+            metrics=metrics,
+            span_sink=span_sink,
+            chaos=chaos,
+        )
+        service = TelemetryService(
+            engine,
+            alert_engine=_build_alert_engine(args),
+            checkpoint_path=args.checkpoint,
+            checkpoint_interval=args.checkpoint_interval,
+            handle_signals=True,
+            metrics_port=args.metrics_port,
+            chaos=chaos,
+            keep_checkpoints=args.keep_checkpoints,
+        )
     except (ScenarioError, NetworkStateError, ValueError, KeyError, OSError) as error:
         print(f"error: {error.args[0]}", file=sys.stderr)
         return 2
-
-    sinks = []
-    if args.jsonl_out:
-        sinks.append(JsonlSink(args.jsonl_out))
-    if args.csv_out:
-        sinks.append(CsvSink(args.csv_out))
-    stdout_taken = args.jsonl_out == "-" or args.csv_out == "-"
-    if not args.quiet and not stdout_taken:
-        sinks.append(ConsoleSink())
-
-    engine = StreamingEngine(
-        source,
-        events=events,
-        sinks=sinks,
-        resources=SwitchResources.scaled(args.scale if args.scale is not None else 0.05),
-        seed=seed,
-        rolling_window=args.rolling_window,
-        shards=args.shards,
-        tracer=tracer,
-        metrics=metrics,
-        span_sink=span_sink,
-        chaos=chaos,
-    )
-    service = TelemetryService(
-        engine,
-        alert_engine=_build_alert_engine(args),
-        checkpoint_path=args.checkpoint,
-        checkpoint_interval=args.checkpoint_interval,
-        handle_signals=True,
-        metrics_port=args.metrics_port,
-        chaos=chaos,
-        keep_checkpoints=args.keep_checkpoints,
-    )
     if args.metrics_port is not None and not args.quiet:
         print(f"[serve] metrics port {args.metrics_port} "
               f"(http://127.0.0.1:{args.metrics_port}/metrics)", file=sys.stderr)
@@ -731,10 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--loss-rate", type=float, dest="loss_rate", default=None,
                      help="packet-loss rate (applied to scenarios that "
                           "take a 'loss_rate' parameter)")
-    sub.add_argument("--shards", type=int, default=None,
-                     help="shard the data plane across N worker processes "
-                          "(applied to scenarios that take a 'shards' "
-                          "parameter; bit-identical to serial)")
     sub.add_argument("--jobs", type=int, default=1,
                      help="run sweep points across N processes")
     sub.add_argument("--json", dest="json_out", metavar="PATH",
@@ -757,9 +751,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="switch-resource scale (default 0.05)")
     sub.add_argument("--loss-rate", type=float, dest="loss_rate", default=None,
                      help="victim packet-loss rate of the synthetic phases")
-    sub.add_argument("--shards", type=int, default=None,
-                     help="shard the data plane across N worker processes "
-                          "(bit-identical to serial execution)")
     sub.add_argument("--phases", metavar="F:R:E[,...]",
                      help="phase schedule as flows:victim_ratio:epochs groups "
                           "(default 400:0.05:6,800:0.15:6,400:0.05:6)")

@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
+from ..dataplane.encoder import accumulate_parts
 from ..dataplane.switch import SketchGroup
 from ..sketches.base import DecodeResult
 from ..sketches.fermat import FermatSketch
@@ -95,23 +96,6 @@ def decode_hh_encoders(
     return results
 
 
-def _accumulate(
-    groups: Mapping[SwitchId, SketchGroup], side: str, part_name: str
-) -> Optional[FermatSketch]:
-    """Sum one named encoder part over all switches (``None`` if unallocated)."""
-    total: Optional[FermatSketch] = None
-    for group in groups.values():
-        encoder = getattr(group, side)
-        part = encoder.parts.part(part_name)
-        if part is None:
-            continue
-        if total is None:
-            total = part.copy()
-        else:
-            total.add(part)
-    return total
-
-
 def compute_delta_encoders(
     groups: Mapping[SwitchId, SketchGroup],
     hh_decodes: Mapping[SwitchId, HHDecode],
@@ -124,10 +108,16 @@ def compute_delta_encoders(
     All switches' flowsets go in as one ``insert_batch``, which leaves the
     same state as one ``insert`` per flow.
     """
-    upstream_hl = _accumulate(groups, "upstream", "hl")
-    downstream_hl = _accumulate(groups, "downstream", "hl")
-    upstream_ll = _accumulate(groups, "upstream", "ll")
-    downstream_ll = _accumulate(groups, "downstream", "ll")
+
+    def total(side: str, part_name: str) -> Optional[FermatSketch]:
+        return accumulate_parts(
+            [getattr(group, side).parts.part(part_name) for group in groups.values()]
+        )
+
+    upstream_hl = total("upstream", "hl")
+    downstream_hl = total("downstream", "hl")
+    upstream_ll = total("upstream", "ll")
+    downstream_ll = total("downstream", "ll")
 
     delta_hl: Optional[FermatSketch] = None
     if upstream_hl is not None and downstream_hl is not None:

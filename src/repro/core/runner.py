@@ -80,9 +80,6 @@ class ChameleMon:
     #: Deploy on a custom fat-tree instead of the testbed topology (e.g. a
     #: k=8 fabric for the ``fabric_scale`` scenario).
     topology: Optional[object] = None
-    #: Fan each epoch's data plane out over N worker shards (bit-identical to
-    #: serial execution; see repro.dataplane.sharded).  None/0 runs serially.
-    shards: Optional[int] = None
     #: Attach a :class:`~repro.obs.tracing.StageTracer` to emit hierarchical
     #: per-stage spans (epoch -> simulate/collect/analyze/...).  Tracing is
     #: observational only: traced runs are bit-identical to untraced ones.
@@ -136,9 +133,7 @@ class ChameleMon:
                     for switch in self.simulator.switches.values():
                         switch.begin_epoch()
             with tracer.span("simulate"):
-                truth = self.simulator.run_epoch(
-                    trace, shards=self.shards, tracer=self.tracer
-                )
+                truth = self.simulator.run_epoch(trace, tracer=self.tracer)
             with tracer.span("collect"):
                 groups = {
                     node: switch.end_epoch()
@@ -167,8 +162,10 @@ class ChameleMon:
         return [self.run_epoch(trace) for trace in traces]
 
     def close(self) -> None:
-        """Release the sharded worker pool, if one was spun up."""
-        self.simulator.close()
+        """A no-op kept for callers that close the deployment when done.
+
+        The deployment holds no processes, threads or files.
+        """
 
     # ------------------------------------------------------------------ #
     # service checkpoints

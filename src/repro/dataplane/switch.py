@@ -257,9 +257,7 @@ def process_downstream(
     hierarchy split ``batch`` carries from its ingress switch.  HH and HL
     packets go to the HL part as one count per flow, sampled LL packets to
     the LL part; non-sampled LL packets are counted but not encoded.  The
-    parts reuse the hashes ``batch`` carries from :func:`process_upstream`
-    and hash the flows themselves when it carries none (a shard worker's
-    batch).
+    parts reuse the hashes ``batch`` carries from :func:`process_upstream`.
     """
     groups = [switch._active for switch in switches]
     owner = np.asarray(owner, dtype=np.int64)
@@ -275,5 +273,4 @@ def process_downstream(
         if parts[0] is None:
             continue
         rows = np.flatnonzero(counts > 0)
-        hashes = batch.hashes.get(name) or PartHashes.of(parts[0], batch.keys, rows)
-        encode_part(parts, owner[rows], rows, counts[rows], hashes)
+        encode_part(parts, owner[rows], rows, counts[rows], batch.hashes[name])

@@ -22,11 +22,10 @@ one deployment (same resources, base seed, prime and active configuration),
 and ``run_epoch`` raises ``ValueError`` otherwise.
 
 Loss draws use *counter-based* RNG sub-streams: every victim flow's draws are
-a pure function of ``(simulator seed, epoch index, trace position)``, so any
-partition of the trace — the serial pass, or shards across worker processes
-— produces bit-identical loss placement.  This is the same
-derive-before-dispatch seeding discipline ``SweepRunner`` uses for sweep
-points.
+a pure function of ``(simulator seed, epoch index, trace position)``, never of
+the order the flows are processed in, so a resumed service redraws exactly
+the losses of the uninterrupted run.  This is the same derive-before-dispatch
+seeding discipline ``SweepRunner`` uses for sweep points.
 """
 
 from __future__ import annotations
@@ -189,7 +188,7 @@ def distribute_losses_uniform(
 
 
 # --------------------------------------------------------------------------- #
-# column-level epoch helpers (shared by the serial epoch and the shard workers)
+# column-level epoch helpers
 # --------------------------------------------------------------------------- #
 def endpoint_switch_indices(
     columns: TraceColumns, num_hosts: int, host_edge: np.ndarray
@@ -302,16 +301,6 @@ class NetworkSimulator:
         self._seed = seed
         self._rng = random.Random(seed)
         self._epoch_counter = 0
-        self._shard_pool = None
-        #: Chaos wiring (set by the engine): a FaultInjector arming shard
-        #: faults, the shared ChaosMonitor, and the pool SupervisionPolicy.
-        #: All three default to None — the fault-free fast path is unchanged.
-        self.chaos = None
-        self.monitor = None
-        self.supervision = None
-        #: Sketch-delta bytes merged centrally in the last sharded epoch
-        #: (0 for serial epochs); read by the engine's metrics instruments.
-        self.last_merge_bytes = 0
         # Per-topology host -> edge-switch maps, built once (the topology is
         # immutable for the simulator's lifetime).
         num_hosts = self.topology.num_hosts
@@ -341,45 +330,22 @@ class NetworkSimulator:
         return self.switches[node]
 
     # ------------------------------------------------------------------ #
-    def run_epoch(
-        self,
-        trace: Trace,
-        shards: Optional[int] = None,
-        tracer: Optional[object] = None,
-    ) -> EpochTruth:
+    def run_epoch(self, trace: Trace, tracer: Optional[object] = None) -> EpochTruth:
         """Replay a whole trace as one epoch and return its ground truth.
 
-        Flows are classified and encoded at their ingress and egress edge
-        switches in one pass per side, and losses are drawn per segment.
-        ``shards=N`` fans the epoch out over a persistent worker pool (one
-        shard owns a set of edge switches) and merges the shard-local
-        sketches centrally.  Both produce bit-identical sketch
-        state and ground truth: loss draws are keyed on (seed, epoch, trace
-        position), never on execution order.
+        One pass per side: the upstream pass classifies and encodes every
+        flow at its ingress switch (each switch's flows keep their trace
+        order, so every classification decision is preserved); loss draws
+        are keyed on (seed, epoch, trace position), never on execution
+        order; the downstream pass encodes every flow at its egress switch,
+        reusing the upstream pass's hashes.
 
         A flow ID that appears several times in the trace accumulates into the
         ground truth (sizes and losses are summed), matching what the sketches
         record.
         """
-        epoch = self._epoch_counter
-        key = epoch_loss_key(self._seed, epoch)
+        key = epoch_loss_key(self._seed, self._epoch_counter)
         self._epoch_counter += 1
-        self.last_merge_bytes = 0
-        if shards is not None and shards > 0:
-            return self._run_epoch_sharded(trace, int(shards), key, tracer, epoch)
-        return self._run_epoch_batched(trace, key, tracer)
-
-    def _run_epoch_batched(
-        self, trace: Trace, key: int, tracer: Optional[object] = None
-    ) -> EpochTruth:
-        """Vectorized epoch replay in this process: one pass per side.
-
-        The upstream pass classifies and encodes every flow at its ingress
-        switch (each switch's flows keep their trace order, so every
-        classification decision is preserved); loss draws are keyed on each
-        victim's trace position; the downstream pass encodes every flow at
-        its egress switch, reusing the upstream pass's hashes.
-        """
         tracer = tracer if tracer is not None else NULL_TRACER
         truth = EpochTruth()
         columns = trace.columns()
@@ -445,85 +411,6 @@ class NetworkSimulator:
                     )
 
     # ------------------------------------------------------------------ #
-    # sharded execution
-    # ------------------------------------------------------------------ #
-    def _run_epoch_sharded(
-        self,
-        trace: Trace,
-        shards: int,
-        key: int,
-        tracer: Optional[object] = None,
-        epoch: int = 0,
-    ) -> EpochTruth:
-        """Fan one epoch out over the persistent shard pool and merge centrally."""
-        tracer = tracer if tracer is not None else NULL_TRACER
-        truth = EpochTruth()
-        columns = trace.columns()
-        if len(columns) == 0:
-            return truth
-        self._require_fresh_switches()
-        self._require_one_deployment()
-        from ..dataplane.sharded import merge_node_deltas
-
-        pool = self._ensure_shard_pool(shards)
-        ingress, _ = endpoint_switch_indices(
-            columns, self.topology.num_hosts, self.host_edge
-        )
-        accumulate_truth(truth, columns, ingress, self.edge_nodes)
-        config = next((switch.config for switch in self.switches.values()), None)
-        faults = (
-            self.chaos.shard_faults(epoch, shards) if self.chaos is not None else ()
-        )
-        try:
-            up_deltas, down_deltas, shard_spans = pool.run_epoch(
-                columns, key, config, with_spans=tracer.enabled,
-                epoch=epoch, faults=faults,
-            )
-        except Exception:
-            # A failed sharded epoch leaves workers/buffers in an undefined
-            # state; tear the pool down so the next run starts clean.
-            self.close()
-            raise
-        if shard_spans:
-            # Workers timed their phases on their own monotonic clocks and
-            # shipped plain span dicts with the deltas; adopt them here.
-            tracer.ingest(shard_spans)
-        with tracer.span("merge"):
-            self.last_merge_bytes = merge_node_deltas(
-                self.switches, up_deltas, down_deltas
-            )
-        return truth
-
-    def _require_fresh_switches(self) -> None:
-        """Sharded epochs rebuild each switch's sketches from scratch in the
-        workers and merge into the central (empty) groups; state carried over
-        from an unrotated epoch would silently diverge from the serial path."""
-        for node, switch in self.switches.items():
-            stats = switch.stats
-            if stats.packets_upstream or stats.packets_downstream or stats.flows_seen:
-                raise ValueError(
-                    f"sharded run_epoch needs freshly rotated switches, but "
-                    f"{node} already has traffic this epoch; call rotate_all() "
-                    f"(or begin_epoch()) first, or run without shards"
-                )
-
-    def _ensure_shard_pool(self, shards: int):
-        if self._shard_pool is not None and self._shard_pool.num_shards != shards:
-            self.close()
-        if self._shard_pool is None:
-            from ..dataplane.sharded import ShardPool
-
-            self._shard_pool = ShardPool.for_simulator(
-                self, shards, supervision=self.supervision, monitor=self.monitor
-            )
-        return self._shard_pool
-
-    @property
-    def shard_pool(self):
-        """The persistent shard pool, if a sharded epoch has run (else None)."""
-        return self._shard_pool
-
-    # ------------------------------------------------------------------ #
     # service checkpoints
     # ------------------------------------------------------------------ #
     def snapshot_state(self) -> Dict:
@@ -531,10 +418,7 @@ class NetworkSimulator:
 
         The epoch counter keys the counter-based loss sub-streams
         (:func:`epoch_loss_key`), so restoring it makes every post-resume
-        loss draw identical to the uninterrupted run's — for any shard
-        count, since the draws are partition-independent by construction.
-        The shard pool itself is *not* checkpointed: workers are stateless
-        between epochs and the pool is rebuilt lazily on the next epoch.
+        loss draw identical to the uninterrupted run's.
         """
         version, internal, gauss = self._rng.getstate()
         return {
@@ -547,20 +431,6 @@ class NetworkSimulator:
         self._epoch_counter = int(state["epoch_counter"])
         rng = state["rng"]
         self._rng.setstate((rng["version"], tuple(rng["state"]), rng["gauss"]))
-
-    def close(self) -> None:
-        """Shut down the shard pool (workers and shared-memory buffers)."""
-        if self._shard_pool is not None:
-            try:
-                self._shard_pool.close()
-            finally:
-                self._shard_pool = None
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter-shutdown path
-        try:
-            self.close()
-        except Exception:
-            pass
 
     def rotate_all(self) -> Dict[NodeId, "object"]:
         """Rotate every edge switch to a new epoch; return the finished groups."""

@@ -2,14 +2,14 @@
 
 Four small modules, one rule: observability measures the run and never steers
 it, so enabling any of it cannot perturb bit-identity (the property tests in
-``tests/test_obs.py`` assert exactly that across seeds and shard counts).
+``tests/test_obs.py`` assert exactly that across seeds).
 
 * :mod:`repro.obs.identity` — the ``TIMING_FIELDS`` exclusion contract every
   identity comparison shares.
 * :mod:`repro.obs.metrics` — Counter/Gauge/Histogram registry with fixed
   deterministic bucket edges.
 * :mod:`repro.obs.tracing` — hierarchical ``perf_counter_ns`` stage spans,
-  shard-shippable, epoch-draining.
+  epoch-draining.
 * :mod:`repro.obs.exposition` — Prometheus text, JSONL snapshots, and the
   ``serve --metrics-port`` HTTP endpoint.
 * :mod:`repro.obs.report` — span JSONL -> self/cumulative stage breakdown

@@ -2,8 +2,8 @@
 two runs that are otherwise bit-identical.
 
 Every reproducibility property in this codebase — pipelined vs. serial
-streaming, sharded vs. serial data planes, resumed vs. uninterrupted services,
-traced vs. untraced runs — is asserted by comparing per-epoch records for
+streaming, resumed vs. uninterrupted services, traced vs. untraced runs —
+is asserted by comparing per-epoch records for
 exact equality *after* stripping the fields that measure the run instead of
 the network.  This module is the single source of truth for that exclusion
 list; the stream engine, the service, the ``serve_churn`` scenario verdict,

@@ -7,8 +7,7 @@ The implementation is intentionally small and dependency-free:
 
 * **Fixed, deterministic bucket edges.**  Histograms never adapt their edges
   at runtime, so two runs of the same workload produce structurally identical
-  snapshots and shard-shipped histograms merge exactly (see :meth:`Histogram
-  .merge` and the linearity property test).
+  snapshots.
 * **Labels as child instruments.**  ``metric.labels(part="hh")`` returns a
   per-label-set child (Prometheus client idiom); the unlabeled methods
   operate on the implicit empty-label child so simple metrics stay one-liners.
@@ -176,19 +175,6 @@ class _HistogramChild:
             self.sum += value
             self.count += 1
 
-    def merge(self, other: "_HistogramChild") -> None:
-        """Add another histogram in (linear: merge(a,b) == observe(a)+observe(b))."""
-        if self.edges != other.edges:
-            raise MetricError(
-                f"cannot merge histograms with different edges: "
-                f"{self.edges} vs {other.edges}"
-            )
-        with self._lock:
-            for index, count in enumerate(other.bucket_counts):
-                self.bucket_counts[index] += count
-            self.sum += other.sum
-            self.count += other.count
-
     def cumulative_buckets(self) -> List[Tuple[float, int]]:
         """(upper edge, cumulative count) pairs, ending with (+Inf, count)."""
         out: List[Tuple[float, int]] = []
@@ -223,9 +209,6 @@ class Histogram(_Metric):
 
     def observe(self, value: float) -> None:
         self._unlabeled().observe(value)
-
-    def merge(self, other: "_HistogramChild") -> None:
-        self._unlabeled().merge(other)
 
     @property
     def sum(self) -> float:
@@ -308,9 +291,6 @@ class EpochMetrics:
         self.level_epochs = registry.counter(
             "repro_level_epochs_total",
             "Epochs spent at each attention level", labels=("level",))
-        self.shard_merge_bytes = registry.counter(
-            "repro_shard_merge_bytes_total",
-            "Sketch-delta bytes merged centrally from shard workers")
         self.rolling_f1 = registry.gauge(
             "repro_rolling_f1", "Rolling loss-detection F1 over the engine window")
         self.rolling_are = registry.gauge(
@@ -333,7 +313,6 @@ class EpochMetrics:
         decode_success: Optional[Dict[str, bool]] = None,
         layout: Optional[Any] = None,
         num_arrays: int = 3,
-        merge_bytes: int = 0,
     ) -> None:
         from ..controlplane.timing import SWITCH_BUCKET_BYTES
 
@@ -346,8 +325,6 @@ class EpochMetrics:
         self.rolling_are.set(record["rolling_are"])
         self.epoch_ms.observe(record["wall_ms"])
         self.decode_ms.observe(record["decode_ms"])
-        if merge_bytes:
-            self.shard_merge_bytes.inc(merge_bytes)
         if decode_success is not None:
             for part, success in decode_success.items():
                 family = self.decode_success if success else self.decode_failure

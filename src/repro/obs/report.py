@@ -10,10 +10,6 @@ stage path, and render a profiler-style tree table where every stage shows
   own code),
 * **mean** — total / count, and
 * **%** — share of the root stages' combined total.
-
-Shard-shipped spans aggregate into the same stage rows as local ones (their
-durations are the cross-process-comparable part); the per-shard split stays
-available in the raw JSONL.
 """
 
 from __future__ import annotations
@@ -40,7 +36,8 @@ def aggregate_spans(spans: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
 
     Within each level siblings are ordered by descending total time, so the
     hottest path reads top-to-bottom.  A parent stage missing from the spans
-    (possible for ingested shard paths) is synthesized with zero self time.
+    (possible when the spans were filtered, e.g. by epoch) is synthesized
+    with zero self time.
     """
     totals: Dict[Path, List[float]] = {}
     for span in spans:

@@ -7,20 +7,15 @@ worker (producing epoch ``k+1``) and the analysis thread (inside epoch ``k``)
 each build their own hierarchy without locking each other; completed spans
 land in one shared, lock-guarded list.
 
-Three integration points make the tracer fit this pipeline specifically:
+Two integration points make the tracer fit this pipeline specifically:
 
 * **Epoch tagging** — :meth:`set_epoch` stamps subsequently completed spans,
   and producers tag their spans explicitly (``span("generate", epoch=k+1)``),
   so :meth:`drain` can return exactly the spans belonging to epochs ``<= k``
   while the next epoch's generation is still in flight.
-* **Shard shipping** — :class:`~repro.dataplane.sharded.ShardPool` workers
-  run in other processes where this tracer does not exist; they time their
-  phases with the same monotonic clock, return plain span dicts alongside
-  their sketch deltas, and the parent re-roots them under its current stack
-  position via :meth:`ingest`.
 * **Observability only** — the tracer measures the run and is never read
   back by the pipeline, so a traced run is bit-identical to an untraced one
-  (property-tested across seeds and shard counts).
+  (property-tested across seeds).
 
 ``NULL_TRACER`` is the disabled implementation: every call is a no-op, so
 instrumented code paths do ``tracer = tracer or NULL_TRACER`` once and pay
@@ -38,7 +33,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 class Span:
     """One completed stage measurement."""
 
-    __slots__ = ("name", "path", "epoch", "shard", "start_ns", "duration_ns")
+    __slots__ = ("name", "path", "epoch", "start_ns", "duration_ns")
 
     def __init__(
         self,
@@ -47,26 +42,21 @@ class Span:
         epoch: Optional[int],
         start_ns: int,
         duration_ns: int,
-        shard: Optional[int] = None,
     ) -> None:
         self.name = name
         self.path = path
         self.epoch = epoch
         self.start_ns = start_ns
         self.duration_ns = duration_ns
-        self.shard = shard
 
     def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
+        return {
             "name": self.name,
             "path": list(self.path),
             "epoch": self.epoch,
             "start_ns": self.start_ns,
             "duration_ns": self.duration_ns,
         }
-        if self.shard is not None:
-            out["shard"] = self.shard
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -78,14 +68,12 @@ class Span:
 class _SpanHandle:
     """The context manager a single ``tracer.span(...)`` call returns."""
 
-    __slots__ = ("_tracer", "_name", "_epoch", "_shard", "_path", "_start")
+    __slots__ = ("_tracer", "_name", "_epoch", "_path", "_start")
 
-    def __init__(self, tracer: "StageTracer", name: str,
-                 epoch: Optional[int], shard: Optional[int]) -> None:
+    def __init__(self, tracer: "StageTracer", name: str, epoch: Optional[int]) -> None:
         self._tracer = tracer
         self._name = name
         self._epoch = epoch
-        self._shard = shard
 
     def __enter__(self) -> "_SpanHandle":
         stack = self._tracer._stack()
@@ -100,8 +88,7 @@ class _SpanHandle:
         tracer = self._tracer
         tracer._stack().pop()
         epoch = self._epoch if self._epoch is not None else tracer._epoch
-        span = Span(self._name, self._path, epoch, self._start,
-                    end - self._start, self._shard)
+        span = Span(self._name, self._path, epoch, self._start, end - self._start)
         with tracer._lock:
             tracer._spans.append(span)
         return False
@@ -125,15 +112,10 @@ class NullTracer:
 
     enabled = False
 
-    def span(self, name: str, epoch: Optional[int] = None,
-             shard: Optional[int] = None) -> _NullHandle:
+    def span(self, name: str, epoch: Optional[int] = None) -> _NullHandle:
         return _NULL_HANDLE
 
     def set_epoch(self, epoch: int) -> None:
-        pass
-
-    def ingest(self, span_dicts: Iterable[Dict[str, Any]],
-               epoch: Optional[int] = None) -> None:
         pass
 
     def drain(self, upto_epoch: Optional[int] = None) -> List[Span]:
@@ -160,10 +142,9 @@ class StageTracer:
             stack = self._local.stack = []
         return stack
 
-    def span(self, name: str, epoch: Optional[int] = None,
-             shard: Optional[int] = None) -> _SpanHandle:
+    def span(self, name: str, epoch: Optional[int] = None) -> _SpanHandle:
         """A context manager timing one stage, nested under the current span."""
-        return _SpanHandle(self, name, epoch, shard)
+        return _SpanHandle(self, name, epoch)
 
     def set_epoch(self, epoch: int) -> None:
         """Stamp spans completed from here on with this epoch index.
@@ -172,33 +153,6 @@ class StageTracer:
         ``generate`` span, which runs ahead of the analysis epoch) keep it.
         """
         self._epoch = epoch
-
-    def ingest(self, span_dicts: Iterable[Dict[str, Any]],
-               epoch: Optional[int] = None) -> None:
-        """Adopt spans measured elsewhere (shard workers) as children here.
-
-        Each dict carries a path *relative to the worker's phase*; it is
-        re-rooted under the calling thread's current span so shard work shows
-        up in the right place of the hierarchy (``epoch/simulate/...``).
-        ``start_ns`` values are worker-local and only durations are
-        cross-process comparable — the report layer aggregates durations.
-        """
-        stack = self._stack()
-        base: Tuple[str, ...] = stack[-1] if stack else ()
-        stamp = epoch if epoch is not None else self._epoch
-        adopted = [
-            Span(
-                name=entry["name"],
-                path=base + tuple(entry.get("path") or (entry["name"],)),
-                epoch=stamp,
-                start_ns=int(entry.get("start_ns", 0)),
-                duration_ns=int(entry["duration_ns"]),
-                shard=entry.get("shard"),
-            )
-            for entry in span_dicts
-        ]
-        with self._lock:
-            self._spans.extend(adopted)
 
     def drain(self, upto_epoch: Optional[int] = None) -> List[Span]:
         """Remove and return completed spans (optionally only epochs <= N).
@@ -229,7 +183,7 @@ class StageTracer:
 
 
 def stage_millis(spans: Iterable[Span]) -> Dict[str, float]:
-    """Total milliseconds per stage path ("epoch/simulate/merge" style keys).
+    """Total milliseconds per stage path ("epoch/analyze/decode" style keys).
 
     This is the per-epoch ``timing`` record sub-dict: purely observational,
     excluded from identity comparisons via ``TIMING_FIELDS``.

@@ -697,7 +697,7 @@ def ablation_fermat_point(params: Dict[str, Any], seed: int) -> List[Dict[str, A
 # --------------------------------------------------------------------------- #
 @scenario(
     "fabric_scale",
-    title="large-fabric epochs over the (optionally sharded) data plane",
+    title="large-fabric epochs over the data plane",
     params=dict(
         k=8,
         flows=1_000_000,
@@ -706,19 +706,16 @@ def ablation_fermat_point(params: Dict[str, Any], seed: int) -> List[Dict[str, A
         loss_rate=0.05,
         workload="DCTCP",
         scale=0.05,
-        shards=0,
     ),
     seed=5,
     smoke=dict(flows=3000, epochs=1),
-    tags=("bench", "sharded"),
+    tags=("bench",),
 )
 def fabric_scale_point(params: Dict[str, Any], seed: int) -> List[Dict[str, Any]]:
     """Epoch throughput on a k-ary fat-tree fabric at millions of flows.
 
-    ``shards=N`` fans the data plane out over the persistent worker pool
-    (bit-identical to serial; ``shards=0`` runs serially).  Flow IDs are
-    uint64 (not 104-bit five-tuples) so the Fermat IDsums stay on the
-    vectorized narrow-prime path — hence ``MERSENNE_PRIME_61``.
+    Flow IDs are uint64 (not 104-bit five-tuples) so the Fermat IDsums stay
+    on the vectorized narrow-prime path — hence ``MERSENNE_PRIME_61``.
     """
     from ..core.runner import ChameleMon
     from ..dataplane.config import SwitchResources
@@ -726,7 +723,6 @@ def fabric_scale_point(params: Dict[str, Any], seed: int) -> List[Dict[str, Any]
     from ..sketches.fermat import MERSENNE_PRIME_61
     from ..traffic.generator import generate_workload
 
-    shards = int(params["shards"]) or None
     system = ChameleMon(
         resources=SwitchResources.scaled(params["scale"]),
         seed=seed,
@@ -734,37 +730,32 @@ def fabric_scale_point(params: Dict[str, Any], seed: int) -> List[Dict[str, Any]
         topology=FatTreeTopology(FatTreeSpec(k=params["k"])),
         history_limit=2,
         destructive_analysis=True,
-        shards=shards,
     )
     rows = []
-    try:
-        for epoch in range(params["epochs"]):
-            trace = generate_workload(
-                params["workload"],
-                num_flows=params["flows"],
-                victim_ratio=params["victim_ratio"],
-                loss_rate=params["loss_rate"],
-                num_hosts=system.num_hosts,
-                seed=seed + epoch,
-                use_five_tuple=False,
-            )
-            start = time.perf_counter()
-            result = system.run_epoch(trace)
-            seconds = time.perf_counter() - start
-            rows.append(
-                {
-                    "epoch": epoch,
-                    "flows": len(trace),
-                    "packets": trace.num_packets(),
-                    "seconds": seconds,
-                    "epochs_per_s": 1.0 / max(seconds, 1e-9),
-                    "shards": shards or 0,
-                    "loss_f1": result.loss_accuracy()["f1"],
-                    "level": result.level.value,
-                }
-            )
-    finally:
-        system.close()
+    for epoch in range(params["epochs"]):
+        trace = generate_workload(
+            params["workload"],
+            num_flows=params["flows"],
+            victim_ratio=params["victim_ratio"],
+            loss_rate=params["loss_rate"],
+            num_hosts=system.num_hosts,
+            seed=seed + epoch,
+            use_five_tuple=False,
+        )
+        start = time.perf_counter()
+        result = system.run_epoch(trace)
+        seconds = time.perf_counter() - start
+        rows.append(
+            {
+                "epoch": epoch,
+                "flows": len(trace),
+                "packets": trace.num_packets(),
+                "seconds": seconds,
+                "epochs_per_s": 1.0 / max(seconds, 1e-9),
+                "loss_f1": result.loss_accuracy()["f1"],
+                "level": result.level.value,
+            }
+        )
     return rows
 
 
@@ -1056,42 +1047,36 @@ def serve_churn_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
 
 @scenario(
     "serve_chaos",
-    title="chaos-hardened service: injected faults, supervised recovery",
+    title="chaos-hardened service: injected faults, in-line recovery",
     params=dict(
         workload="DCTCP",
         flows=400,
         epochs=10,
         victim_ratio=0.08,
         loss_rate=0.05,
-        shards=2,
-        crash_epoch=3,
-        crash_mode="kill",
         sink_error_epoch=2,
         interrupt_epoch=6,
         corrupt_mode="bitflip",
         checkpoint_interval=2,
         keep_checkpoints=2,
-        task_timeout=60.0,
-        max_respawns=2,
         scale=0.05,
         pipelined=True,
         rolling_window=4,
     ),
     seed=57,
-    smoke=dict(flows=150, epochs=6, crash_epoch=2, sink_error_epoch=1,
-               interrupt_epoch=4),
+    smoke=dict(flows=150, epochs=6, sink_error_epoch=1, interrupt_epoch=4),
     tags=("stream", "service", "chaos"),
 )
 def serve_chaos_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
-    """The service under deterministic chaos: crash, sink error, corruption.
+    """The service under deterministic chaos: sink error, corruption.
 
-    Runs a sharded service with three injected faults — a shard-worker death
-    at ``crash_epoch``, a sink flush ``OSError`` at ``sink_error_epoch``, and
-    corruption of the newest checkpoint at the ``interrupt_epoch`` boundary —
-    then resumes fault-free.  The resume quarantines the corrupt checkpoint,
-    falls back along the chain, and recomputes; the verdict asserts every
-    recovery fired and the final JSONL record stream is bit-identical (per
-    the ``TIMING_FIELDS`` contract) to a fault-free reference run.
+    Runs the service with two injected faults — a sink flush ``OSError`` at
+    ``sink_error_epoch`` and corruption of the newest checkpoint at the
+    ``interrupt_epoch`` boundary — then resumes fault-free.  The resume
+    quarantines the corrupt checkpoint, falls back along the chain, and
+    recomputes; the verdict asserts every recovery fired and the final JSONL
+    record stream is bit-identical (per the ``TIMING_FIELDS`` contract) to a
+    fault-free reference run.
     """
     import json as json_module
     import os
@@ -1119,20 +1104,12 @@ def serve_chaos_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
             seed=seed,
             pipelined=params["pipelined"],
             rolling_window=params["rolling_window"],
-            shards=params["shards"],
             chaos=chaos,
         )
 
     spec = {
         "seed": seed,
-        "supervision": {
-            "task_timeout": params["task_timeout"],
-            "max_respawns": params["max_respawns"],
-            "backoff_base": 0.01,
-        },
         "faults": [
-            {"kind": "shard_crash", "epoch": params["crash_epoch"],
-             "shard": 1, "mode": params["crash_mode"]},
             {"kind": "sink_flush_error", "epoch": params["sink_error_epoch"]},
             {"kind": "checkpoint_corrupt", "epoch": params["interrupt_epoch"],
              "mode": params["corrupt_mode"]},
@@ -1145,8 +1122,8 @@ def serve_chaos_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         out_path = os.path.join(tmp, "chaos.jsonl")
         # The fault-free reference run.
         TelemetryService(build(ref_path, None)).run(max_epochs=params["epochs"])
-        # The chaos run up to the interrupt: shard crash + sink error are
-        # recovered in-line; the final checkpoint is corrupted on disk.
+        # The chaos run up to the interrupt: the sink error is recovered
+        # in-line; the final checkpoint is corrupted on disk.
         chaos = FaultInjector.from_spec(spec, default_seed=seed)
         TelemetryService(
             build(out_path, chaos),
@@ -1177,8 +1154,7 @@ def serve_chaos_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         [comparable(r) for r in records] == [comparable(r) for r in reference]
     )
     recovered = (
-        chaos_counts["recoveries"].get("shard_pool", 0) >= 1
-        and chaos_counts["sink_retries"] >= 1
+        chaos_counts["sink_retries"] >= 1
         and resume_counts["recoveries"].get("checkpoint", 0) >= 1
     )
     output = _stream_output(records, summary)

@@ -203,7 +203,6 @@ def inspect_checkpoint(path: str) -> Dict[str, Any]:
         "path": path,
         "next_epoch": engine.get("next_epoch"),
         "seed": meta.get("seed"),
-        "shards": meta.get("shards"),
         "written_at": meta.get("written_at"),
         "schedule_fingerprint": meta.get("schedule_fingerprint"),
         "epochs_recorded": engine.get("summary", {}).get("epochs"),

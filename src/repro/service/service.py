@@ -6,17 +6,17 @@ with the three things a durable deployment needs on top of the bounded loop:
 * **Checkpoint/restore** — every ``checkpoint_interval`` epochs (and at every
   graceful stop) the service fsyncs its sinks and atomically writes a
   versioned ``.rtck`` snapshot (:mod:`repro.service.checkpoint`).  A resumed
-  service validates the snapshot against its own spec (seed, shards, rolling
-  window, schedule fingerprint), rewinds each file sink to its durable
-  offset, restores the analysis-side state, and continues **bit-identically**
-  to the uninterrupted run — for serial and sharded execution alike.
+  service validates the snapshot against its own spec (seed, rolling window,
+  schedule fingerprint), rewinds each file sink to its durable offset,
+  restores the analysis-side state, and continues **bit-identically** to the
+  uninterrupted run.
 * **Alerting** — an :class:`~repro.service.alerts.AlertEngine` evaluates its
   rules against every record before the sinks see it; deterministic
   transitions are annotated into the record's ``alerts`` field (part of the
   reproducible stream), and all transitions flow to the alert sinks.
 * **Graceful lifecycle** — with ``handle_signals=True`` a SIGINT/SIGTERM
   requests a stop; the loop finishes the epoch in flight, writes a final
-  checkpoint, flushes and closes every sink, and releases the shard pool.
+  checkpoint, and flushes and closes every sink.
 """
 
 from __future__ import annotations
@@ -80,12 +80,9 @@ class TelemetryService:
         #: annotations survive a resume bit-identically.
         self._decode_fail_streak = 0
         if self.chaos is not None and engine.chaos is None:
-            # A service-level injector still reaches the data plane and the
-            # record sinks through the engine's wiring points.
+            # A service-level injector still reaches the record sinks
+            # through the engine's wiring point.
             engine.chaos = self.chaos
-            simulator = engine.system.simulator
-            simulator.chaos = self.chaos
-            simulator.supervision = self.chaos.supervision
             self.chaos.install_sinks(engine.sinks)
         # Harden the durable outputs: every file-backed record/alert sink is
         # wrapped in a retry/backoff shell (OSError only; checkpoint hooks
@@ -329,7 +326,6 @@ class TelemetryService:
             source_epochs = None
         return {
             "seed": engine.seed,
-            "shards": engine.system.shards or 0,
             "rolling_window": engine.rolling_window,
             "heavy_hitter_threshold": engine.system.heavy_hitter_threshold,
             "schedule_fingerprint": engine.schedule.fingerprint(),
@@ -339,15 +335,14 @@ class TelemetryService:
     def _validate(self, state: Dict[str, Any]) -> None:
         expected = self._spec_meta()
         stored = state.get("meta", {})
-        # The shard count may legitimately differ (loss draws are partition-
-        # independent); everything else must match for bit-identity.
-        for key in ("seed", "rolling_window", "heavy_hitter_threshold",
-                    "schedule_fingerprint", "source_epochs"):
-            if stored.get(key) != expected[key]:
+        # Every key of the spec must match for bit-identity; keys that older
+        # checkpoints carry and the spec no longer writes are ignored.
+        for key, value in expected.items():
+            if stored.get(key) != value:
                 raise CheckpointError(
                     f"checkpoint '{self.checkpoint_path}' was written by a "
                     f"different run: {key} is {stored.get(key)!r} there but "
-                    f"{expected[key]!r} here"
+                    f"{value!r} here"
                 )
 
     def _sink_states(self) -> List[Dict[str, Any]]:

@@ -126,7 +126,6 @@ class StreamingEngine:
         rolling_window: int = 8,
         compute_tasks: bool = False,
         heavy_hitter_threshold: int = 500,
-        shards: Optional[int] = None,
         tracer: Optional[StageTracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         span_sink: Optional[Any] = None,
@@ -156,7 +155,6 @@ class StreamingEngine:
             # The engine owns the collected groups and drops them right after
             # analysis, so the controller may decode them in place.
             destructive_analysis=True,
-            shards=shards,
             tracer=tracer,
         )
         self.conditions = NetworkConditions(self.system.simulator.topology, seed=seed)
@@ -167,19 +165,14 @@ class StreamingEngine:
         self.metrics = metrics
         self._instruments = EpochMetrics(metrics) if metrics is not None else None
         self.span_sink = span_sink
-        # Chaos/supervision plumbing: the monitor always exists (recovery
-        # accounting is wanted even without injected faults); the injector is
-        # optional.  Both are threaded down to the simulator so the shard
-        # pool inherits supervision, and the monitor is mirrored into the
-        # repro_* counters when a metrics registry is attached.
+        # Chaos plumbing: the monitor always exists (recovery accounting is
+        # wanted even without injected faults); the injector is optional.  The
+        # monitor is mirrored into the repro_* counters when a metrics
+        # registry is attached.
         self.chaos = chaos
         self.monitor = chaos.monitor if chaos is not None else ChaosMonitor()
         if metrics is not None:
             self.monitor.bind(metrics)
-        simulator = self.system.simulator
-        simulator.chaos = chaos
-        simulator.monitor = self.monitor
-        simulator.supervision = chaos.supervision if chaos is not None else None
         if chaos is not None:
             chaos.install_sinks(self.sinks)
         self._resident = _ResidentTracker()
@@ -261,13 +254,12 @@ class StreamingEngine:
                 self.close()
 
     def close(self) -> None:
-        """Flush and close every sink, then release the data plane.
+        """Flush and close every sink and the span sink.
 
         Idempotent, and robust to a sink failing mid-close: every sink is
-        attempted and the shard pool is always released, so an interrupted
-        run never leaks worker processes or drops buffered records.  Called
-        from :meth:`run`'s ``finally`` (including on KeyboardInterrupt) and
-        from the context-manager exit.
+        attempted, so an interrupted run never drops buffered records.
+        Called from :meth:`run`'s ``finally`` (including on
+        KeyboardInterrupt) and from the context-manager exit.
         """
         errors = []
         for sink in self.sinks:
@@ -280,10 +272,6 @@ class StreamingEngine:
                 self.span_sink.close()
             except Exception as error:  # noqa: BLE001
                 errors.append(error)
-        try:
-            self.system.close()
-        except Exception as error:  # noqa: BLE001
-            errors.append(error)
         self._closed = True
         if errors:
             raise errors[0]
@@ -375,7 +363,6 @@ class StreamingEngine:
                     },
                     layout=result.config.layout,
                     num_arrays=self.system.resources.num_arrays,
-                    merge_bytes=self.system.simulator.last_merge_bytes,
                 )
             if record_hook is not None:
                 record_hook(epoch, record, result)

@@ -275,86 +275,6 @@ class BinaryTraceReader:
         self.close()
 
 
-# --------------------------------------------------------------------------- #
-# in-memory buffer packing (shared-memory transport for sharded execution)
-# --------------------------------------------------------------------------- #
-def columns_buffer_capacity(num_flows: int) -> int:
-    """Bytes needed to pack ``num_flows`` rows with :func:`pack_columns_into`.
-
-    Upper bound: every column (including the wide-ID spill limb) padded to the
-    64-byte blob alignment.
-    """
-    per_column = _ALIGN + 8 * max(1, num_flows)
-    return _ALIGN + per_column * len(COLUMN_DTYPES)
-
-
-def pack_columns_into(buffer, columns: TraceColumns) -> Dict[str, Any]:
-    """Pack one epoch's columns into ``buffer`` using the ``.rtbin`` blob layout.
-
-    ``buffer`` is any writable buffer (typically a ``SharedMemory.buf``).
-    Returns a manifest entry shaped exactly like the per-epoch entries the
-    binary store writes (``{"flows", "wide", "offsets"}``), which
-    :func:`columns_from_buffer` consumes — the file format and the
-    shared-memory transport share one layout.
-    """
-    lo, hi = _split_wide_ids(columns.flow_ids)
-    blobs = {
-        "flow_id_lo": lo,
-        "size": columns.sizes,
-        "src_host": columns.src_hosts,
-        "dst_host": columns.dst_hosts,
-        "is_victim": columns.is_victim,
-        "loss_rate": columns.loss_rate,
-        "lost_packets": columns.lost_packets,
-    }
-    if hi is not None:
-        blobs["flow_id_hi"] = hi
-    cursor = _DATA_START
-    offsets: Dict[str, int] = {}
-    for name, array in blobs.items():
-        cursor += (-cursor) % _ALIGN
-        data = np.ascontiguousarray(array.astype(COLUMN_DTYPES[name], copy=False))
-        view = np.frombuffer(buffer, dtype=data.dtype, count=len(data), offset=cursor)
-        view[:] = data
-        del view
-        offsets[name] = cursor
-        cursor += data.nbytes
-    return {"flows": len(columns), "wide": hi is not None, "offsets": offsets}
-
-
-def columns_from_buffer(buffer, meta: Dict[str, Any]) -> TraceColumns:
-    """Zero-copy read-only :class:`TraceColumns` over a packed buffer.
-
-    ``meta`` is the manifest entry returned by :func:`pack_columns_into`.
-    Views are marked read-only: shard workers share the buffer, so accidental
-    writes would corrupt every other shard's input.  Callers must keep the
-    buffer (e.g. the ``SharedMemory`` object) alive while the columns are in
-    use, and drop all column references before closing it.
-    """
-
-    def column(name: str) -> np.ndarray:
-        dtype = np.dtype(COLUMN_DTYPES[name])
-        view = np.frombuffer(
-            buffer, dtype=dtype, count=meta["flows"], offset=meta["offsets"][name]
-        )
-        view.flags.writeable = False
-        return view
-
-    if meta["flows"] == 0:
-        return TraceColumns.empty()
-    lo = column("flow_id_lo")
-    hi = column("flow_id_hi") if meta.get("wide") else None
-    return TraceColumns(
-        flow_ids=_join_wide_ids(lo, hi),
-        sizes=column("size"),
-        src_hosts=column("src_host"),
-        dst_hosts=column("dst_host"),
-        is_victim=column("is_victim"),
-        lost_packets=column("lost_packets"),
-        loss_rate=column("loss_rate"),
-    )
-
-
 def is_binary_trace(path: str) -> bool:
     """True when ``path`` starts with the binary epoch store magic."""
     try:

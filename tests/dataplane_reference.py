@@ -9,19 +9,21 @@ flow, switch by switch, in batch order; ``tests/test_numpy_backend.py`` and
 ``tests/test_dataplane.py`` check that on random inputs, reading the batch
 back as segments with ``batch_segments``.  ``loss_uniform`` is one loss-draw
 uniform computed on Python ints, the oracle of the vectorized
-``loss_uniforms`` (``tests/test_sharded_plane.py``).
+``loss_uniforms`` (``tests/test_network.py``).
 
 ``reference_epoch`` is an oracle for a whole ``run_epoch``: it walks the
 trace flow by flow with ``classify_flow_packets`` at the ingress switch,
 draws losses with ``distribute_losses_uniform`` on ``loss_uniform``s, and
 encodes each segment with one scalar ``FermatSketch.insert``
-(``tests/test_dataplane_oracle.py``).
+(``tests/test_dataplane_oracle.py``).  ``collect_dataplane_state`` reads the
+same shape back from a simulator that ran the epoch; the golden digests hash
+it too.
 
 The walks are the classifier methods as they stood in ``src/``, written as
 functions of the classifier.
 """
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.dataplane.classifier import SAMPLE_HASH_RANGE, ClassifiedBatch, FlowClassifier
 from repro.dataplane.config import MonitoringConfig
@@ -139,13 +141,49 @@ def loss_uniform(key: int, position: int, slot: int) -> float:
     return (z >> 11) * _INV_2_53
 
 
-def _part_state(part) -> Any:
+def _part_fingerprint(part) -> Optional[Tuple[Any, Any]]:
     if part is None:
         return None
     return (
         [row.tolist() for row in part._counts],
         [[int(value) for value in row] for row in part._idsums],
     )
+
+
+def collect_dataplane_state(simulator) -> Dict[Any, Dict[str, Any]]:
+    """A pure-Python, ``==``-comparable snapshot of every switch's epoch state.
+
+    Used by the oracle tests and the golden digests to compare sketches and
+    statistics bit for bit.
+    """
+    state: Dict[Any, Dict[str, Any]] = {}
+    for node in sorted(simulator.switches, key=str):
+        switch = simulator.switches[node]
+        group = switch.end_epoch()
+        stats = switch.stats
+        state[node] = {
+            "classifier": [row.tolist() for row in group.classifier.tower._counters],
+            "upstream": {
+                name: _part_fingerprint(group.upstream.parts.part(name))
+                for name in ("hh", "hl", "ll")
+            },
+            "downstream": {
+                name: _part_fingerprint(group.downstream.parts.part(name))
+                for name in ("hl", "ll")
+            },
+            "stats": (
+                stats.packets_upstream,
+                stats.packets_downstream,
+                stats.flows_seen,
+                tuple(
+                    sorted(
+                        (hierarchy.name, count)
+                        for hierarchy, count in stats.per_hierarchy_packets.items()
+                    )
+                ),
+            ),
+        }
+    return state
 
 
 def reference_epoch(simulator, trace) -> Tuple[Dict[Any, Dict[str, Any]], Dict[str, Any]]:
@@ -226,10 +264,10 @@ def reference_epoch(simulator, trace) -> Tuple[Dict[Any, Dict[str, Any]], Dict[s
         state[node] = {
             "classifier": [row.tolist() for row in plane["classifier"].tower._counters],
             "upstream": {
-                name: _part_state(plane["upstream"].part(name)) for name in ("hh", "hl", "ll")
+                name: _part_fingerprint(plane["upstream"].part(name)) for name in ("hh", "hl", "ll")
             },
             "downstream": {
-                name: _part_state(plane["downstream"].part(name)) for name in ("hl", "ll")
+                name: _part_fingerprint(plane["downstream"].part(name)) for name in ("hl", "ll")
             },
             "stats": (up, down, flows_seen, tuple(sorted(per_hierarchy.items()))),
         }

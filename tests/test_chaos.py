@@ -1,13 +1,12 @@
-"""Tests for repro.chaos: deterministic injection, supervision, degradation.
+"""Tests for repro.chaos: deterministic injection, recovery, degradation.
 
 The contracts under test: (1) every fault decision is a pure function of
 (seed, spec, visit order) — two runs with the same chaos spec inject
-identically; (2) a supervised shard pool recovers from crashes, hard kills,
-and hangs with a *bit-identical* recomputed epoch; (3) the service's
-checkpoint chain quarantines corrupt files (every corruption mode the
-injector knows) and resumes bit-identically from the last good link; (4)
-sink I/O errors are retried/dropped per policy without corrupting the
-record stream; (5) lenient netstate parsing skips and counts bad lines.
+identically; (2) the service's checkpoint chain quarantines corrupt files
+(every corruption mode the injector knows) and resumes bit-identically from
+the last good link; (3) sink I/O errors are retried/dropped per policy
+without corrupting the record stream; (4) lenient netstate parsing skips and
+counts bad lines.
 """
 
 import json
@@ -24,17 +23,13 @@ from repro.chaos import (
     ChaosSpecError,
     FaultInjector,
     FaultSpec,
-    InjectedFault,
     RetryPolicy,
-    SupervisionPolicy,
     chaos_key,
-    chaos_mix64,
     chaos_uniform,
     corrupt_checkpoint,
 )
 from repro.dataplane.config import SwitchResources
-from repro.dataplane.sharded import ShardPool, ShardRecoveryExhausted
-from repro.network.simulator import build_testbed_simulator
+from repro.network.simulator import mix64
 from repro.obs import MetricsRegistry, prometheus_text
 from repro.service import (
     CheckpointError,
@@ -55,13 +50,11 @@ from repro.stream import (
     SyntheticSource,
     comparable,
 )
-from repro.traffic.generator import generate_workload
 
 RESOURCES = SwitchResources.scaled(0.05)
 
 
-def make_engine(seed, sinks=(), epochs=6, shards=None, flows=120, chaos=None,
-                metrics=None):
+def make_engine(seed, sinks=(), epochs=6, flows=120, chaos=None, metrics=None):
     source = SyntheticSource.steady(
         num_flows=flows, epochs=epochs, victim_ratio=0.1, seed=seed
     )
@@ -72,7 +65,6 @@ def make_engine(seed, sinks=(), epochs=6, shards=None, flows=120, chaos=None,
         seed=seed,
         pipelined=True,
         rolling_window=4,
-        shards=shards,
         chaos=chaos,
         metrics=metrics,
     )
@@ -103,7 +95,7 @@ class TestChaosSubstreams:
         assert base != chaos_key(6, "a", 0)
 
     def test_mix64_avalanches(self):
-        outputs = {chaos_mix64(value) for value in range(128)}
+        outputs = {mix64(value) for value in range(128)}
         assert len(outputs) == 128
         assert all(0 <= value < 2 ** 64 for value in outputs)
 
@@ -118,14 +110,14 @@ class TestSpecParsing:
 
     def test_count_must_be_positive(self):
         with pytest.raises(ChaosSpecError, match="count"):
-            FaultSpec(kind="shard_crash", count=0)
+            FaultSpec(kind="sink_flush_error", count=0)
 
     def test_dict_round_trip(self):
         spec = FaultSpec.from_dict(
-            {"kind": "shard_hang", "epoch": 3, "shard": 1, "seconds": 2.5}
+            {"kind": "checkpoint_corrupt", "epoch": 3, "mode": "truncate", "key": 5}
         )
         assert spec.epoch == 3
-        assert spec.params == {"shard": 1, "seconds": 2.5}
+        assert spec.params == {"mode": "truncate", "key": 5}
         assert FaultSpec.from_dict(spec.to_dict()) == spec
 
     def test_missing_kind_rejected(self):
@@ -136,9 +128,14 @@ class TestSpecParsing:
         with pytest.raises(ChaosSpecError, match="unknown chaos spec keys"):
             FaultInjector.from_spec({"seeed": 1})
 
-    def test_unknown_supervision_keys_rejected(self):
-        with pytest.raises(ChaosSpecError, match="unknown supervision keys"):
-            FaultInjector.from_spec({"supervision": {"task_timeut": 1.0}})
+    @pytest.mark.parametrize("spec, named", [
+        ({"supervision": {"max_respawns": 2}}, "supervision"),
+        ({"faults": [{"kind": "shard_crash", "epoch": 1}]}, "shard_crash"),
+        ({"faults": [{"kind": "shard_hang", "epoch": 1}]}, "shard_hang"),
+    ])
+    def test_retired_shard_spec_rejected(self, spec, named):
+        with pytest.raises(ChaosSpecError, match=named):
+            FaultInjector.from_spec(spec)
 
     def test_default_seed_applies_only_when_unset(self):
         assert injector({}, seed=9).seed == 9
@@ -203,26 +200,17 @@ class TestArming:
         with pytest.raises(OSError, match="alerts"):
             inj.sink_hook("alerts")({"epoch": 0})
 
-    def test_shard_faults_wrap_shard_index(self):
-        inj = injector({"faults": [
-            {"kind": "shard_crash", "epoch": 1, "shard": 5, "mode": "kill"},
-            {"kind": "shard_hang", "epoch": 1, "shard": 0, "seconds": 9.0},
-        ]})
-        assert inj.shard_faults(0, 2) == []
-        descriptors = inj.shard_faults(1, 2)
-        assert {"shard": 1, "mode": "kill"} in descriptors
-        assert {"shard": 0, "mode": "hang", "seconds": 9.0} in descriptors
-
     def test_identical_specs_inject_identically(self):
         spec = {"faults": [
-            {"kind": "shard_crash", "epoch": 2, "mode": "exception"},
+            {"kind": "checkpoint_corrupt", "epoch": 2, "mode": "truncate"},
             {"kind": "sink_flush_error", "count": 2},
         ]}
         trace_a, trace_b = [], []
         for trace in (trace_a, trace_b):
             inj = injector(spec)
             for epoch in range(4):
-                trace.append([d.get("mode") for d in inj.shard_faults(epoch, 2)])
+                fired = inj.checkpoint_fault(epoch)
+                trace.append(fired.params.get("mode") if fired else None)
                 trace.append(inj.take("sink_flush_error", epoch) is not None)
         assert trace_a == trace_b
 
@@ -244,132 +232,6 @@ class TestArming:
         assert hook(2, untouched) != untouched
         assert hook(3, untouched) == untouched
         assert hook(4, untouched) != untouched
-
-
-# --------------------------------------------------------------------------- #
-# shard supervision: recovery is bit-identical
-# --------------------------------------------------------------------------- #
-def sharded_records(seed, chaos=None, epochs=5, shards=2):
-    sink = MemorySink()
-    engine = make_engine(seed, sinks=[sink], epochs=epochs, shards=shards,
-                         chaos=chaos)
-    engine.run()
-    return [comparable(record) for record in sink.records]
-
-
-class TestShardSupervision:
-    def test_exception_crash_recovers_bit_identical(self):
-        reference = sharded_records(21)
-        chaos = injector({
-            "supervision": {"max_respawns": 2, "backoff_base": 0.001},
-            "faults": [{"kind": "shard_crash", "epoch": 2, "shard": 0,
-                        "mode": "exception"}],
-        })
-        assert sharded_records(21, chaos=chaos) == reference
-        assert chaos.monitor.faults_injected == {"shard_crash": 1}
-        assert chaos.monitor.recoveries == {"shard_pool": 1}
-
-    def test_hard_kill_recovers_bit_identical(self):
-        reference = sharded_records(22)
-        chaos = injector({
-            "supervision": {"max_respawns": 2, "backoff_base": 0.001},
-            "faults": [{"kind": "shard_crash", "epoch": 1, "shard": 1,
-                        "mode": "kill"}],
-        })
-        assert sharded_records(22, chaos=chaos) == reference
-        assert chaos.monitor.recoveries == {"shard_pool": 1}
-
-    def test_hang_trips_task_timeout_and_recovers(self):
-        reference = sharded_records(23, epochs=4)
-        chaos = injector({
-            "supervision": {"task_timeout": 1.0, "max_respawns": 2,
-                            "backoff_base": 0.001},
-            "faults": [{"kind": "shard_hang", "epoch": 1, "shard": 0,
-                        "seconds": 30.0}],
-        })
-        assert sharded_records(23, chaos=chaos, epochs=4) == reference
-        assert chaos.monitor.faults_injected == {"shard_hang": 1}
-        assert chaos.monitor.recoveries == {"shard_pool": 1}
-
-    def test_exhausted_respawns_raise(self):
-        simulator = build_testbed_simulator(resources=RESOURCES, seed=3)
-        trace = generate_workload(
-            "DCTCP", num_flows=40, victim_ratio=0.1, loss_rate=0.05,
-            num_hosts=simulator.topology.num_hosts, seed=1,
-        )
-        pool = ShardPool.for_simulator(
-            simulator, 2,
-            supervision=SupervisionPolicy(max_respawns=1, backoff_base=0.0),
-        )
-        attempts = []
-
-        def always_fails(*args, **kwargs):
-            attempts.append(1)
-            raise InjectedFault("persistent failure")
-
-        pool._dispatch_epoch = always_fails
-        pool._respawn = lambda: attempts  # keep the retry cheap
-        try:
-            with pytest.raises(ShardRecoveryExhausted, match="2 attempts"):
-                pool.run_epoch(trace.columns(), key=7, config=None)
-            assert len(attempts) == 2  # initial + max_respawns
-            assert pool.closed
-        finally:
-            pool.close()
-            simulator.close()
-
-    def test_deterministic_bugs_are_not_retried(self):
-        simulator = build_testbed_simulator(resources=RESOURCES, seed=3)
-        trace = generate_workload(
-            "DCTCP", num_flows=40, victim_ratio=0.1, loss_rate=0.05,
-            num_hosts=simulator.topology.num_hosts, seed=1,
-        )
-        pool = ShardPool.for_simulator(simulator, 2)
-        attempts = []
-
-        def buggy(*args, **kwargs):
-            attempts.append(1)
-            raise KeyError("deterministic task bug")
-
-        pool._dispatch_epoch = buggy
-        try:
-            with pytest.raises(KeyError):
-                pool.run_epoch(trace.columns(), key=7, config=None)
-            assert len(attempts) == 1
-        finally:
-            pool.close()
-            simulator.close()
-
-    def test_backoff_is_deterministic_and_capped(self):
-        policy = SupervisionPolicy(backoff_base=0.05, backoff_cap=0.2)
-        delays = [policy.backoff_delay(5, "shard_pool", 3, a) for a in range(6)]
-        assert delays == [
-            policy.backoff_delay(5, "shard_pool", 3, a) for a in range(6)
-        ]
-        assert all(0.0 < delay <= 0.2 for delay in delays)
-        assert delays[-1] == 0.2  # the exponential hits the cap
-
-
-class TestCloseSafety:
-    def test_close_is_idempotent(self):
-        simulator = build_testbed_simulator(resources=RESOURCES, seed=3)
-        pool = ShardPool.for_simulator(simulator, 2)
-        pool.close()
-        pool.close()
-        assert pool.closed
-        simulator.close()
-
-    def test_close_with_dead_workers_does_not_raise(self):
-        simulator = build_testbed_simulator(resources=RESOURCES, seed=3)
-        pool = ShardPool.for_simulator(simulator, 2)
-        for process in list(pool._executor._processes.values()):
-            process.terminate()
-        pool._broken = True
-        pool.close()  # must not raise or hang
-        assert pool.closed
-        assert pool._data_shm is None and pool._scratch_shm is None
-        pool.close()
-        simulator.close()
 
 
 # --------------------------------------------------------------------------- #
@@ -428,6 +290,13 @@ class TestResilientSink:
         )
         with pytest.raises(OSError, match="flaky"):
             sink.write({"epoch": 1})
+
+    def test_backoff_is_deterministic_and_capped(self):
+        policy = RetryPolicy(backoff_base=0.05, backoff_cap=0.2)
+        delays = [policy.backoff_delay(5, "sink", 3, a) for a in range(6)]
+        assert delays == [policy.backoff_delay(5, "sink", 3, a) for a in range(6)]
+        assert all(0.0 < delay <= 0.2 for delay in delays)
+        assert delays[-1] == 0.2  # the exponential hits the cap
 
     def test_non_oserror_propagates_immediately(self):
         inner = FlakySink(failures=10, exc=RuntimeError)
@@ -662,19 +531,19 @@ class TestServiceChaos:
         assert len(sink.records) == 3
         assert "metrics endpoint unavailable" in capsys.readouterr().err
 
-    def test_chaos_counters_surface_in_metrics_exposition(self):
+    def test_chaos_counters_surface_in_metrics_exposition(self, tmp_path):
         registry = MetricsRegistry()
         chaos = injector({"faults": [
-            {"kind": "shard_crash", "epoch": 1, "mode": "exception"},
+            {"kind": "sink_flush_error", "epoch": 1},
         ]})
         chaos.monitor.bind(registry)
-        sink = MemorySink()
-        engine = make_engine(34, sinks=[sink], epochs=3, shards=2, chaos=chaos,
+        sink = JsonlSink(str(tmp_path / "out.jsonl"))
+        engine = make_engine(34, sinks=[sink], epochs=3, chaos=chaos,
                              metrics=registry)
-        engine.run()
+        TelemetryService(engine, retry=fast_retry()).run()
         text = prometheus_text(registry)
-        assert 'repro_faults_injected_total{kind="shard_crash"} 1' in text
-        assert 'repro_recoveries_total{site="shard_pool"} 1' in text
+        assert 'repro_faults_injected_total{kind="sink_flush_error"} 1' in text
+        assert 'repro_recoveries_total{site="sink"} 1' in text
 
     def test_sink_fault_is_retried_exactly_once_through_service(self, tmp_path):
         out = str(tmp_path / "chaos.jsonl")
@@ -720,7 +589,7 @@ class TestServeChaosCli:
         base = [
             sys.executable, "-m", "repro.cli", "serve",
             "--seed", "9", "--phases", "150:0.1:4", "--quiet",
-            "--shards", "2", "--scale", "0.05",
+            "--scale", "0.05",
             "--jsonl", str(tmp_path / "cli.jsonl"),
         ]
         return subprocess.run(
@@ -731,19 +600,15 @@ class TestServeChaosCli:
     def test_serve_with_chaos_recovers_and_reports(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
-            "supervision": {"max_respawns": 2, "backoff_base": 0.001},
-            "faults": [
-                {"kind": "shard_crash", "epoch": 1, "shard": 0,
-                 "mode": "exception"},
-            ],
+            "faults": [{"kind": "sink_flush_error", "epoch": 1}],
         }))
         (tmp_path / "ref").mkdir()
         reference = self._serve(tmp_path / "ref")
         assert reference.returncode == 0, reference.stderr
         chaotic = self._serve(tmp_path, "--chaos", str(spec))
         assert chaotic.returncode == 0, chaotic.stderr
-        assert "chaos: faults {'shard_crash': 1}" in chaotic.stderr
-        assert "recoveries {'shard_pool': 1}" in chaotic.stderr
+        assert "chaos: faults {'sink_flush_error': 1}" in chaotic.stderr
+        assert "recoveries {'sink': 1}" in chaotic.stderr
         chaos_records = jsonl_records(tmp_path / "cli.jsonl")
         ref_records = jsonl_records(tmp_path / "ref" / "cli.jsonl")
         assert chaos_records == ref_records
@@ -755,8 +620,19 @@ class TestServeChaosCli:
         assert result.returncode == 2
         assert "unknown fault kind" in result.stderr
 
+    @pytest.mark.parametrize("spec, named", [
+        ({"supervision": {"max_respawns": 2}}, "supervision"),
+        ({"faults": [{"kind": "shard_crash", "epoch": 1}]}, "shard_crash"),
+        ({"faults": [{"kind": "shard_hang", "epoch": 1}]}, "shard_hang"),
+    ])
+    def test_retired_shard_spec_is_a_usage_error(self, tmp_path, spec, named):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        result = self._serve(tmp_path, "--chaos", str(path))
+        assert result.returncode == 2
+        assert named in result.stderr
+
     def test_fault_kinds_documented_in_error(self):
-        for kind in ("shard_crash", "shard_hang", "checkpoint_corrupt",
-                     "sink_flush_error", "netstate_corrupt",
-                     "metrics_bind_error"):
+        for kind in ("checkpoint_corrupt", "sink_flush_error",
+                     "netstate_corrupt", "metrics_bind_error"):
             assert kind in FAULT_KINDS

@@ -384,6 +384,16 @@ class TestServeCommand:
         ]) == 2
         assert "--fail-host" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--rolling-window", "0", "rolling_window"),
+        ("--keep-checkpoints", "0", "keep_checkpoints"),
+        ("--checkpoint-interval", "-1", "checkpoint_interval"),
+        ("--scale", "0", "scale"),
+    ])
+    def test_serve_rejects_invalid_values(self, capsys, flag, value, name):
+        assert main(["serve", "--phases", "50:0.0:1", "--quiet", flag, value]) == 2
+        assert f"error: {name}" in capsys.readouterr().err
+
 
 class TestTraceCommand:
     """The trace inspect/convert surface over the columnar trace plane."""

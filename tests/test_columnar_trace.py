@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.dataplane.config import SwitchResources
-from repro.dataplane.sharded import collect_dataplane_state
 from repro.network.simulator import build_testbed_simulator
 from repro.stream import (
     EventSchedule,
@@ -32,6 +31,8 @@ from repro.traffic.generator import (
     generate_workload,
     take_flows,
 )
+
+from dataplane_reference import collect_dataplane_state
 
 RESOURCES = SwitchResources.scaled(0.05)
 SEEDS = (0, 1, 2)

@@ -13,15 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataplane.config import EncoderLayout, MonitoringConfig, SwitchResources
-from repro.dataplane.sharded import collect_dataplane_state
 from repro.dataplane.switch import EdgeSwitch
 from repro.network.simulator import NetworkSimulator, build_testbed_simulator
 from repro.network.topology import FatTreeSpec, FatTreeTopology
 from repro.sketches.fermat import MERSENNE_PRIME_61, MERSENNE_PRIME_127
 from repro.traffic.flow import FlowRecord, Trace
-from repro.traffic.generator import generate_workload
 
-from dataplane_reference import reference_epoch
+from dataplane_reference import collect_dataplane_state, reference_epoch
 
 TESTBED = FatTreeTopology.testbed()
 FABRIC = FatTreeTopology(FatTreeSpec(k=8))
@@ -114,13 +112,10 @@ def _truth_dict(truth):
     }
 
 
-def _run_and_compare(simulator, trace, shards=None):
+def _run_and_compare(simulator, trace):
     expected_state, expected_truth = reference_epoch(simulator, trace)
-    try:
-        truth = simulator.run_epoch(trace, shards=shards)
-        state = collect_dataplane_state(simulator)
-    finally:
-        simulator.close()
+    truth = simulator.run_epoch(trace)
+    state = collect_dataplane_state(simulator)
     assert _truth_dict(truth) == expected_truth
     assert state == expected_state
 
@@ -130,19 +125,6 @@ def _run_and_compare(simulator, trace, shards=None):
 def test_run_epoch_matches_flow_by_flow_oracle(epoch):
     shape, resources, config, seed, prime, trace = epoch
     _run_and_compare(_simulator(shape, resources, config, seed, prime), trace)
-
-
-def test_sharded_epoch_matches_oracle():
-    resources = SwitchResources.scaled(0.05)
-    config = MonitoringConfig(
-        layout=resources.ill_layout, threshold_high=24, threshold_low=4, sample_rate=0.6
-    )
-    trace = generate_workload(
-        "DCTCP", num_flows=600, victim_ratio=0.2, loss_rate=0.1,
-        num_hosts=FABRIC.num_hosts, seed=4, use_five_tuple=False,
-    )
-    simulator = _simulator("fabric", resources, config, seed=4, prime=MERSENNE_PRIME_61)
-    _run_and_compare(simulator, trace, shards=2)
 
 
 def test_too_large_id_raises_only_where_encoded():

@@ -12,9 +12,8 @@ mismatch the failure message lists every case's current digest to copy from.
 The matrix, each at seeds 0, 1 and 2:
 
 * ``records/<scenario>`` -- the timing-stripped rows (``comparable_records``)
-  of the smoke point of seven registered scenarios.  ``serve_chaos`` runs the
-  two-shard worker pool.  fig4's ``*_ms`` columns are decode wall times and
-  are dropped.
+  of the smoke point of seven registered scenarios.  fig4's ``*_ms`` columns
+  are decode wall times and are dropped.
 * ``serve/records`` and ``serve/checkpoint`` -- the ``serve`` command with the
   CI smoke flags plus ``--jsonl`` and ``--checkpoint``: its JSONL records and
   its final ``comparable_checkpoint``.
@@ -39,7 +38,6 @@ import pytest
 from repro.cli import main
 from repro.core.runner import ChameleMon
 from repro.dataplane.config import EncoderLayout, MonitoringConfig, SwitchResources
-from repro.dataplane.sharded import collect_dataplane_state
 from repro.network.simulator import build_testbed_simulator
 from repro.network.topology import FatTreeSpec, FatTreeTopology
 from repro.obs import comparable_checkpoint, comparable_records
@@ -48,6 +46,8 @@ from repro.service import read_checkpoint
 from repro.sketches.fermat import MERSENNE_PRIME_61
 from repro.traffic.flow import FlowRecord, Trace
 from repro.traffic.generator import generate_workload
+
+from dataplane_reference import collect_dataplane_state
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "digests.json")
 SEEDS = (0, 1, 2)
@@ -143,11 +143,8 @@ def _tiered_config(resources: SwitchResources, high: int, low: int) -> Monitorin
 
 def _dataplane(trace: Trace, **simulator_kwargs):
     simulator = build_testbed_simulator(**simulator_kwargs)
-    try:
-        truth = simulator.run_epoch(trace)
-        state = collect_dataplane_state(simulator)
-    finally:
-        simulator.close()
+    truth = simulator.run_epoch(trace)
+    state = collect_dataplane_state(simulator)
     return {
         "state": state,
         "flow_sizes": truth.flow_sizes,
@@ -252,12 +249,9 @@ def _facade_fabric(seed: int):
         destructive_analysis=True,
     )
     records = []
-    try:
-        for epoch in range(FABRIC_EPOCHS):
-            trace = _fabric_trace(topology, seed + 101 * epoch)
-            records.append(_facade_record(epoch, trace, system.run_epoch(trace)))
-    finally:
-        system.close()
+    for epoch in range(FABRIC_EPOCHS):
+        trace = _fabric_trace(topology, seed + 101 * epoch)
+        records.append(_facade_record(epoch, trace, system.run_epoch(trace)))
     return records
 
 

@@ -1,9 +1,10 @@
 """Property tests: sketch merge (``add``) is linear w.r.t. stream splitting.
 
-The sharded data plane rests on one algebraic fact: encoding a stream split
-across workers and then merging the per-worker sketches yields *bit-identical*
-state to encoding the whole stream on one node.  These tests pin that fact for
-every mergeable sketch in the registry:
+The network-wide analysis rests on one algebraic fact: encoding a stream split
+across switches and then adding the per-switch sketches yields
+*bit-identical* state to encoding the whole stream on one node (the
+controller sums every switch's HL and LL encoders, paper section 4.2).  These
+tests pin that fact for every mergeable sketch in the registry:
 
 * unconditionally linear — CM, CountSketch, Fermat (both narrow and wide
   primes), LossRadar: any split of any stream merges exactly;
@@ -11,8 +12,9 @@ every mergeable sketch in the registry:
   ``min(a+b, s)`` for non-negative parts, so arbitrary splits merge exactly
   too;
 * conditionally exact — FlowRadar and Tower+Fermat: exact for flow-disjoint
-  partitions (the shard-owns-switches invariant guarantees exactly this), and
-  the tests use flow-disjoint splits with pinned seeds.
+  partitions (each flow enters the network at one edge switch, which
+  guarantees exactly this), and the tests use flow-disjoint splits with
+  pinned seeds.
 
 Each sketch type has a state extractor returning plain Python data, so the
 assertions compare every counter/IDsum/bit — not just query answers.
@@ -104,18 +106,18 @@ def test_split_stream_merges_exactly(name, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", UNCONDITIONAL)
 def test_many_way_split_merges_exactly(name, seed):
-    """4-way round-robin split — the sharded pool's actual partition shape."""
+    """4-way round-robin split, one part per testbed edge switch."""
     flows, counts = _stream(seed)
     combined = _encode(
         build(name, memory_bytes=MEMORY_BYTES, seed=seed), flows, counts
     )
     merged = build(name, memory_bytes=MEMORY_BYTES, seed=seed)
-    for shard in range(4):
+    for part in range(4):
         merged.add(
             _encode(
                 build(name, memory_bytes=MEMORY_BYTES, seed=seed),
-                flows[shard::4],
-                counts[shard::4],
+                flows[part::4],
+                counts[part::4],
             )
         )
     assert _state(merged) == _state(combined)

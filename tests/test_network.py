@@ -3,6 +3,7 @@
 import random
 import re
 
+import numpy as np
 import pytest
 
 from repro.dataplane.config import MonitoringConfig, SwitchResources
@@ -14,9 +15,14 @@ from repro.network.simulator import (
     NetworkSimulator,
     build_testbed_simulator,
     distribute_losses_uniform,
+    epoch_loss_key,
+    loss_uniforms,
 )
 from repro.network.topology import FatTreeSpec, FatTreeTopology
-from repro.traffic.flow import FlowRecord, Trace
+from repro.traffic.flow import FlowRecord, Trace, TraceColumns
+from repro.traffic.generator import generate_workload
+
+from dataplane_reference import loss_uniform
 
 
 class TestTopology:
@@ -112,6 +118,45 @@ class TestDistributeLosses:
         assert sum(count for _, count in delivered) == 0
 
 
+class TestLossSubStreams:
+    """The counter-based uniforms every loss draw comes from."""
+
+    def test_vectorized_uniforms_match_scalar(self):
+        key = epoch_loss_key(seed=42, epoch=7)
+        positions = np.array([0, 1, 17, 999, 2**31, 2**63 - 1], dtype=np.uint64)
+        grid = loss_uniforms(key, positions)
+        assert grid.shape == (len(positions), MAX_LOSS_SEGMENTS)
+        for row, position in enumerate(positions.tolist()):
+            for slot in range(MAX_LOSS_SEGMENTS):
+                assert grid[row, slot] == loss_uniform(key, position, slot)
+
+    def test_uniforms_in_unit_interval(self):
+        key = epoch_loss_key(seed=0, epoch=0)
+        grid = loss_uniforms(key, np.arange(1000))
+        assert float(grid.min()) >= 0.0
+        assert float(grid.max()) < 1.0
+
+    def test_epoch_keys_distinct(self):
+        keys = {epoch_loss_key(seed, epoch) for seed in range(8) for epoch in range(8)}
+        assert len(keys) == 64
+
+    def test_distribute_losses_uniform_conserves_totals(self):
+        key = epoch_loss_key(seed=3, epoch=1)
+        segments = [
+            (FlowHierarchy.NON_SAMPLED_LL, 40),
+            (FlowHierarchy.HL_CANDIDATE, 25),
+            (FlowHierarchy.HH_CANDIDATE, 60),
+        ]
+        for position in range(50):
+            uniforms = [loss_uniform(key, position, s) for s in range(MAX_LOSS_SEGMENTS)]
+            for lost in (0, 1, 60, 125, 999):
+                delivered = distribute_losses_uniform(segments, lost, uniforms)
+                assert [h for h, _ in delivered] == [h for h, _ in segments]
+                assert all(count >= 0 for _, count in delivered)
+                total = sum(count for _, count in segments)
+                assert sum(count for _, count in delivered) == total - min(lost, total)
+
+
 class TestSimulator:
     def test_build_testbed_simulator(self):
         simulator = build_testbed_simulator(resources=SwitchResources.scaled(0.05))
@@ -189,6 +234,19 @@ class TestSimulator:
         simulator = NetworkSimulator()
         with pytest.raises(KeyError):
             simulator.edge_switch_for_host(0)
+
+    def test_run_epoch_without_dataplane_raises(self):
+        trace = generate_workload("DCTCP", num_flows=100, victim_ratio=0.1, seed=2)
+        simulator = build_testbed_simulator(resources=SwitchResources.scaled(0.05), seed=2)
+        del simulator.switches[simulator.edge_nodes[0]]
+        with pytest.raises(KeyError, match="no ChameleMon data plane"):
+            simulator.run_epoch(trace)
+
+    def test_empty_trace_yields_empty_truth(self):
+        simulator = build_testbed_simulator(resources=SwitchResources.scaled(0.05), seed=0)
+        truth = simulator.run_epoch(Trace(columns=TraceColumns.empty()))
+        assert truth.num_flows() == 0
+        assert all(s.stats.flows_seen == 0 for s in simulator.switches.values())
 
     def test_duplicate_flow_ids_accumulate_in_truth(self):
         # Regression: a flow ID appearing twice used to overwrite

@@ -74,7 +74,7 @@ class TestCounter:
     def test_wrong_label_names_rejected(self):
         counter = MetricsRegistry().counter("c_total", labels=("part",))
         with pytest.raises(MetricError):
-            counter.labels(shard="0")
+            counter.labels(site="0")
 
 
 class TestGauge:
@@ -108,34 +108,6 @@ class TestHistogram:
         with pytest.raises(MetricError):
             MetricsRegistry().histogram("h", buckets=(5.0, 1.0))
 
-    def test_merge_is_linear(self):
-        """merge(observe A, observe B) == observe(A + B), exactly."""
-        values_a = [0.1, 0.5, 2.0, 7.7, 40.0, 9999.0]
-        values_b = [0.5, 1.0, 25.0, 25.0, 123456.0]
-        reg = MetricsRegistry()
-        combined = reg.histogram("h_all")
-        part_a = reg.histogram("h_a")
-        part_b = reg.histogram("h_b")
-        for value in values_a + values_b:
-            combined.observe(value)
-        for value in values_a:
-            part_a.observe(value)
-        for value in values_b:
-            part_b.observe(value)
-        part_a.merge(part_b._unlabeled())
-        merged = part_a._unlabeled()
-        reference = combined._unlabeled()
-        assert merged.bucket_counts == reference.bucket_counts
-        assert merged.count == reference.count
-        assert merged.sum == pytest.approx(reference.sum)
-
-    def test_merge_rejects_different_edges(self):
-        reg = MetricsRegistry()
-        a = reg.histogram("h_a", buckets=(1.0, 2.0))
-        b = reg.histogram("h_b", buckets=(1.0, 3.0))
-        with pytest.raises(MetricError):
-            a.merge(b._unlabeled())
-
 
 class TestRegistry:
     def test_get_or_create_returns_same_family(self):
@@ -152,7 +124,7 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.counter("m", labels=("part",))
         with pytest.raises(MetricError):
-            reg.counter("m", labels=("shard",))
+            reg.counter("m", labels=("site",))
 
     def test_invalid_name_rejected(self):
         with pytest.raises(MetricError):
@@ -175,18 +147,13 @@ class TestEpochMetrics:
             "level": 2, "rolling_f1": 0.9, "rolling_are": 0.1,
             "wall_ms": 12.0, "decode_ms": 4.0,
         }
-        instruments.observe(
-            record,
-            decode_success={"hh": True, "hl": False},
-            merge_bytes=2048,
-        )
+        instruments.observe(record, decode_success={"hh": True, "hl": False})
         assert reg.get("repro_epochs_total").value == 1
         assert reg.get("repro_packets_total").value == 5000
         assert reg.get("repro_lost_packets_total").value == 40
         assert reg.get("repro_decode_success_total").labels(part="hh").value == 1
         assert reg.get("repro_decode_failure_total").labels(part="hl").value == 1
         assert reg.get("repro_level_epochs_total").labels(level=2).value == 1
-        assert reg.get("repro_shard_merge_bytes_total").value == 2048
         assert reg.get("repro_rolling_f1").value == pytest.approx(0.9)
         assert reg.get("repro_epoch_wall_ms").count == 1
 
@@ -199,13 +166,13 @@ class TestStageTracer:
         tracer = StageTracer()
         with tracer.span("epoch"):
             with tracer.span("simulate"):
-                with tracer.span("merge"):
+                with tracer.span("loss_apply"):
                     pass
             with tracer.span("analyze"):
                 pass
         paths = sorted("/".join(s.path) for s in tracer.drain())
         assert paths == [
-            "epoch", "epoch/analyze", "epoch/simulate", "epoch/simulate/merge",
+            "epoch", "epoch/analyze", "epoch/simulate", "epoch/simulate/loss_apply",
         ]
 
     def test_durations_are_positive_and_nested_spans_fit_in_parent(self):
@@ -250,30 +217,10 @@ class TestStageTracer:
             pass
         assert len(tracer.drain(upto_epoch=0)) == 1
 
-    def test_ingest_reroots_under_current_stack(self):
-        tracer = StageTracer()
-        tracer.set_epoch(2)
-        shipped = [
-            {"name": "classify_encode", "path": ["classify_encode"],
-             "shard": 1, "start_ns": 0, "duration_ns": 500},
-            {"name": "loss_apply", "path": ["classify_encode", "loss_apply"],
-             "shard": 1, "start_ns": 0, "duration_ns": 100},
-        ]
-        with tracer.span("epoch"):
-            with tracer.span("simulate"):
-                tracer.ingest(shipped)
-        spans = {"/".join(s.path): s for s in tracer.drain()}
-        assert "epoch/simulate/classify_encode" in spans
-        assert "epoch/simulate/classify_encode/loss_apply" in spans
-        ingested = spans["epoch/simulate/classify_encode"]
-        assert ingested.shard == 1
-        assert ingested.epoch == 2
-
     def test_null_tracer_is_inert(self):
         with NULL_TRACER.span("anything"):
             pass
         NULL_TRACER.set_epoch(5)
-        NULL_TRACER.ingest([{"name": "x", "duration_ns": 1}])
         assert NULL_TRACER.drain() == []
         assert NULL_TRACER.enabled is False
 
@@ -427,7 +374,7 @@ class TestReport:
         assert stages == ["epoch", "epoch/big", "epoch/small"]
 
     def test_missing_parent_synthesized_with_zero_self(self):
-        spans = [_span(("epoch", "simulate", "merge"), 2.0)]
+        spans = [_span(("epoch", "simulate", "loss_apply"), 2.0)]
         nodes = {n["stage"]: n for n in aggregate_spans(spans)}
         assert nodes["epoch"]["count"] == 0
         assert nodes["epoch"]["self_ms"] == pytest.approx(0.0)
@@ -449,7 +396,7 @@ class TestReport:
 # --------------------------------------------------------------------------- #
 # identity contract: traced/metered runs are bit-identical to plain ones
 # --------------------------------------------------------------------------- #
-def _run(seed, shards=None, observed=False, epochs=3, tmp_path=None):
+def _run(seed, observed=False, epochs=3, tmp_path=None):
     source = SyntheticSource.steady(
         num_flows=120, epochs=epochs, victim_ratio=0.1, loss_rate=0.1, seed=seed
     )
@@ -466,7 +413,7 @@ def _run(seed, shards=None, observed=False, epochs=3, tmp_path=None):
         }
     engine = StreamingEngine(
         source, sinks=[sink], resources=RESOURCES, seed=seed,
-        pipelined=True, shards=shards, **kwargs,
+        pipelined=True, **kwargs,
     )
     engine.run()
     return sink.records
@@ -482,19 +429,6 @@ class TestIdentity:
         assert all("timing" in record for record in observed)
         assert all("timing" not in record for record in plain)
         assert all("timing" not in comparable(r) for r in observed)
-
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_sharded_traced_matches_serial_untraced(self, shards, tmp_path):
-        plain = _run(5)
-        observed = _run(5, shards=shards, observed=True, tmp_path=tmp_path)
-        assert comparable_records(observed) == comparable_records(plain)
-        spans = load_spans(str(tmp_path / "s5.jsonl"))
-        shard_spans = [s for s in spans if s.get("shard") is not None]
-        assert {s["shard"] for s in shard_spans} == set(range(shards))
-        assert any(
-            s["path"] == ["epoch", "simulate", "classify_encode"]
-            for s in shard_spans
-        )
 
     def test_timing_subdict_covers_pipeline_stages(self, tmp_path):
         records = _run(2, observed=True, tmp_path=tmp_path)
@@ -551,33 +485,6 @@ class TestIdentity:
         assert comparable_checkpoint(first) == comparable_checkpoint(second)
         assert comparable_checkpoint(first)["sinks"] == [{"kind": "jsonl"}]
 
-    def test_shard_span_histograms_merge_linearly(self, tmp_path):
-        """Histogram merge linearity over real shard-shipped span durations."""
-        _run(6, shards=4, observed=True, tmp_path=tmp_path)
-        spans = [
-            s for s in load_spans(str(tmp_path / "s6.jsonl"))
-            if s.get("shard") is not None
-        ]
-        assert spans
-        reg = MetricsRegistry()
-        combined = reg.histogram("h_all")
-        per_shard = {
-            shard: reg.histogram(f"h_{shard}")
-            for shard in {s["shard"] for s in spans}
-        }
-        for span in spans:
-            ms = span["duration_ns"] / 1e6
-            combined.observe(ms)
-            per_shard[span["shard"]].observe(ms)
-        shards = sorted(per_shard)
-        merged = per_shard[shards[0]]
-        for shard in shards[1:]:
-            merged.merge(per_shard[shard]._unlabeled())
-        assert merged._unlabeled().bucket_counts == \
-            combined._unlabeled().bucket_counts
-        assert merged.count == combined.count
-        assert merged.sum == pytest.approx(combined.sum)
-
 
 # --------------------------------------------------------------------------- #
 # engine and service integration
@@ -593,14 +500,6 @@ class TestEngineIntegration:
         assert reg.get("repro_flows_total").value == 200
         assert reg.get("repro_epoch_wall_ms").count == 2
         assert reg.get("repro_encoder_budget_bytes").value > 0
-
-    def test_sharded_engine_counts_merge_bytes(self):
-        reg = MetricsRegistry()
-        source = SyntheticSource.steady(
-            num_flows=100, epochs=2, victim_ratio=0.1, loss_rate=0.1, seed=1
-        )
-        make_engine(source, metrics=reg, shards=2).run()
-        assert reg.get("repro_shard_merge_bytes_total").value > 0
 
     def test_timing_fields_constant_is_shared(self):
         from repro.stream.engine import TIMING_FIELDS as engine_fields

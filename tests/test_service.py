@@ -65,7 +65,7 @@ FAULTS = (
 )
 
 
-def make_engine(seed, sinks=(), epochs=8, shards=None, events=FAULTS, flows=150):
+def make_engine(seed, sinks=(), epochs=8, events=FAULTS, flows=150):
     source = SyntheticSource.steady(
         num_flows=flows, epochs=epochs, victim_ratio=0.1, seed=seed
     )
@@ -77,7 +77,6 @@ def make_engine(seed, sinks=(), epochs=8, shards=None, events=FAULTS, flows=150)
         seed=seed,
         pipelined=True,
         rolling_window=4,
-        shards=shards,
     )
 
 
@@ -86,7 +85,7 @@ def make_engine(seed, sinks=(), epochs=8, shards=None, events=FAULTS, flows=150)
 # --------------------------------------------------------------------------- #
 def sample_state():
     return {
-        "meta": {"seed": 3, "shards": 0, "rolling_window": 8,
+        "meta": {"seed": 3, "rolling_window": 8,
                  "heavy_hitter_threshold": 100,
                  "schedule_fingerprint": "ab" * 8, "source_epochs": 12},
         "engine": {
@@ -404,10 +403,10 @@ class TestCrashSafeSinks:
 # service: resume bit-identity
 # --------------------------------------------------------------------------- #
 def run_service(seed, tmp_path, *, stop_at=None, resume=False, epochs=8,
-                shards=None, interval=2, tag=""):
+                interval=2, tag=""):
     sink = MemorySink()
     alert_sink = MemoryAlertSink()
-    engine = make_engine(seed, sinks=[sink], epochs=epochs, shards=shards)
+    engine = make_engine(seed, sinks=[sink], epochs=epochs)
     alerts = AlertEngine(
         [RollingF1Floor(0.9, warmup=1), DecodeFailureStreak(2)],
         sinks=[alert_sink],
@@ -443,11 +442,17 @@ def test_resume_mid_fault_schedule_snapshot(tmp_path):
     assert [comparable(r) for r in part + rest] == [comparable(r) for r in full]
 
 
-def test_resume_bit_identical_under_sharding(tmp_path):
-    full, _, _ = run_service(31, tmp_path, tag="full")  # serial reference
-    part, _, engine = run_service(31, tmp_path, stop_at=4, shards=4)
-    assert engine.system.simulator.shard_pool is None  # released on close
-    rest, _, _ = run_service(31, tmp_path, resume=True, shards=4)
+def test_resume_from_checkpoint_with_shards_meta(tmp_path):
+    # Checkpoints written before the data plane lost its shard pool carry a
+    # "shards" meta key; they still resume bit-identically.
+    full, _, _ = run_service(31, tmp_path, tag="full")
+    part, _, _ = run_service(31, tmp_path, stop_at=4)
+    path = str(tmp_path / "svc.rtck")
+    state = read_checkpoint(path)
+    assert "shards" not in state["meta"]
+    state["meta"]["shards"] = 2
+    write_checkpoint(path, state)
+    rest, _, _ = run_service(31, tmp_path, resume=True)
     assert [comparable(r) for r in part + rest] == [comparable(r) for r in full]
 
 
@@ -513,13 +518,12 @@ class StopSink(EpochSink):
 
 
 class TestLifecycle:
-    def test_engine_close_releases_pool_and_sinks_on_sink_error(self):
+    def test_engine_closes_sinks_on_sink_error(self):
         failing, memory = FailingSink(2), MemorySink()
-        engine = make_engine(71, sinks=[failing, memory], epochs=6, shards=2)
+        engine = make_engine(71, sinks=[failing, memory], epochs=6)
         with pytest.raises(RuntimeError, match="exploded"):
             engine.run()
         assert failing.closed
-        assert engine.system.simulator.shard_pool is None
 
     def test_service_closes_sinks_on_interrupt(self, tmp_path):
         failing = FailingSink(3)
