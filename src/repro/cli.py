@@ -274,7 +274,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
         if streamer is not None:
             streamer.close(result.wall_seconds)
-    except ScenarioError as error:
+    except ValueError as error:  # ScenarioError included
         print(f"error: {error.args[0]}", file=sys.stderr)
         return 2
     _emit(result, args)

@@ -174,6 +174,9 @@ def minimum_memory(
     """
     if scheme not in _RUNNERS:
         raise KeyError(f"unknown scheme '{scheme}'; choose one of {SCHEMES}")
+    if trials < 1:
+        # Zero trials would pass every size vacuously.
+        raise ValueError("trials must be at least 1")
     units = max(4, start_units)
     # Exponential search for an upper bound.
     while not _decode_succeeds(scheme, trace, units, trials, seed):

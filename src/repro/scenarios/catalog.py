@@ -293,6 +293,8 @@ def _fig10_success_rate(
     from ..sketches.registry import build
     from ..traffic.generator import generate_caida_like_trace
 
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     successes = 0
     per_array = max(1, int(num_flows * buckets_per_flow / 3))
     for trial in range(trials):
@@ -638,6 +640,9 @@ def ablation_fermat_point(params: Dict[str, Any], seed: int) -> List[Dict[str, A
     from ..sketches.fermat import FermatSketch, peeling_threshold
     from ..traffic.generator import generate_caida_like_trace
 
+    if params["trials"] < 1 or params["decode_trials"] < 1:
+        # Zero decode trials would pass every array size vacuously.
+        raise ValueError("trials and decode_trials must be at least 1")
     num_flows = params["flows"]
     rows: List[Dict[str, Any]] = []
 

@@ -13,7 +13,11 @@ aggregate *per-flow* losses.  Fermat's little theorem is what makes a bucket
 that holds a single flow recoverable: if bucket ``B`` is *pure* then
 ``IDsum = count * f (mod p)`` and therefore ``f = IDsum * count^(p-2) (mod p)``.
 The decoders compute ``count^(-1)`` by extended Euclid (``pow(count, -1, p)``),
-which for a prime ``p`` is the same residue as ``count^(p-2)``.
+which for a prime ``p`` is the same residue as ``count^(p-2)``.  There are two
+decoders: the scalar queue (:meth:`FermatSketch.decode_scalar`), which decodes
+every prime, and the NumPy frontier (:meth:`FermatSketch.decode_vectorized`,
+the default), which peels Mersenne primes below ``2**62`` (uint64 residues) a
+round at a time and hands its tail, and every other prime, to the queue.
 
 The sketch is
 
@@ -44,7 +48,6 @@ from .hashing import (
     PairwiseHash,
     fold_limb_sums_mod_mersenne,
     mersenne_exponent,
-    modinv_batch,
     modmul_array,
     modmul_mersenne_u64,
 )
@@ -64,16 +67,6 @@ DEFAULT_NUM_ARRAYS = 3
 #: vectorized decoder hands the remaining (small or rarely contended) tail to
 #: the scalar queue decoder instead.
 SCALAR_TAIL_BUCKETS = 512
-
-#: The same cutoff for wide (89/127-bit) primes.  It was set low because a
-#: scalar bucket probe used to pay a wide-exponent ``pow`` (~10x a 61-bit
-#: one); with Euclid inverses it no longer does, and the queue now beats a
-#: frontier round on small wide sketches too.  The value stays for the peel
-#: schedule, not for speed: the frontier and the queue peel in different
-#: orders, so moving the handoff changes the order of recovered flows (which
-#: reaches the loss reports) and, on overloaded fingerprintless sketches,
-#: which false positives are peeled.
-SCALAR_TAIL_BUCKETS_WIDE = 64
 
 #: When a frontier round peels fewer than 1/16 of its candidate buckets the
 #: decode is trickling (a contended, usually overloaded sketch): rescanning
@@ -417,9 +410,7 @@ class FermatSketch(InvertibleSketch):
     # ------------------------------------------------------------------ #
     # decoding
     # ------------------------------------------------------------------ #
-    def decode(
-        self, max_iterations: Optional[int] = None, vectorized: bool = True
-    ) -> DecodeResult:
+    def decode(self, max_iterations: Optional[int] = None) -> DecodeResult:
         """Recover every encoded flow and its size (Algorithm 2).
 
         The decoding peels pure buckets repeatedly.  It succeeds when the
@@ -427,16 +418,16 @@ class FermatSketch(InvertibleSketch):
         ``remaining`` reports how many non-empty buckets are left.  Flows that
         were inserted and later fully removed do not appear in the result.
 
-        ``vectorized=True`` (the default) runs the frontier-based NumPy
-        decoder (:meth:`decode_vectorized`); ``vectorized=False`` runs the
-        scalar queue (:meth:`decode_scalar`).  Both produce the same
-        recovered flows, ``success``, ``remaining``, and residual bucket state.
+        Runs :meth:`decode_vectorized`, which peels Mersenne primes below
+        ``2**62`` in NumPy frontier rounds and every other prime on the scalar
+        queue (:meth:`decode_scalar`).  Both produce the same recovered flows,
+        ``success``, ``remaining``, and residual bucket state.
 
         An explicit ``max_iterations`` asks for the queue's pop-bounded
-        stopping behavior (the vectorized decoder counts peeled flows per
-        round, not bucket pops), so it always runs the scalar queue.
+        stopping behavior (the frontier counts peeled flows per round, not
+        bucket pops), so it always runs the scalar queue.
         """
-        if vectorized and max_iterations is None:
+        if max_iterations is None:
             return self.decode_vectorized()
         return self.decode_scalar(max_iterations)
 
@@ -451,8 +442,8 @@ class FermatSketch(InvertibleSketch):
         :data:`DECODE_POPS_PER_BUCKET` per bucket).  The peel runs on plain Python lists —
         each row is read once with ``tolist()`` and written back once at the
         end — with the pairwise hashes evaluated inline from their
-        coefficients.  Used directly for non-Mersenne primes and pop budgets,
-        and for the tail of a vectorized decode.
+        coefficients.  Used directly for non-Mersenne primes, primes at or
+        above ``2**62`` and pop budgets, and for the tail of a frontier decode.
         """
         p = self.params.prime
         bits = self.params.fingerprint_bits
@@ -528,16 +519,17 @@ class FermatSketch(InvertibleSketch):
     def decode_vectorized(self, max_iterations: Optional[int] = None) -> DecodeResult:
         """Frontier-based NumPy peeling — same results as :meth:`decode_scalar`.
 
-        Each round (1) collects every candidate bucket at once, (2) recovers
-        the extended IDs of the whole frontier in batch — ``count^(-1) mod p``
-        by extended Euclid on unique counts for primes below ``2**62``,
-        Montgomery batch inversion for the wide 89/127-bit primes — (3)
-        verifies rehash and fingerprint with the vectorized hash path, and (4)
-        subtracts all verified peels with duplicate-safe scatters.  Rounds
-        repeat until no bucket verifies; a frontier of at most
-        :data:`SCALAR_TAIL_BUCKETS` candidates is handed to the scalar queue
-        decoder (per-round NumPy overhead would dominate).  Non-Mersenne
-        primes run on the scalar queue entirely.
+        For Mersenne primes below ``2**62`` (uint64 residues), each round (1)
+        collects every candidate bucket at once, (2) recovers the extended
+        IDs of the whole frontier in batch — ``count^(-1) mod p`` by extended
+        Euclid on unique counts — (3) verifies rehash and fingerprint with the
+        vectorized hash path, and (4) subtracts all verified peels with
+        duplicate-safe scatters.  Rounds repeat until no bucket verifies; a
+        frontier of at most :data:`SCALAR_TAIL_BUCKETS` candidates is handed
+        to the scalar queue decoder (per-round NumPy overhead would
+        dominate).  Every other prime runs on the scalar queue entirely: on
+        the wide primes' object-dtype residues a frontier round is no faster
+        than the queue, so their flows come back in the queue's order.
 
         Caveat: on a *fingerprintless* sketch loaded beyond the peeling
         threshold, rehash-only pure-bucket verification admits rare false
@@ -549,14 +541,13 @@ class FermatSketch(InvertibleSketch):
         """
         p = self.params.prime
         exponent = mersenne_exponent(p)
-        if exponent is None:
+        if exponent is None or exponent > 61:
             return self.decode_scalar(max_iterations)
         limit = (
             max_iterations
             if max_iterations is not None
             else DECODE_POPS_PER_BUCKET * self.total_buckets()
         )
-        narrow = exponent <= 61  # residues fit uint64; else object-dtype IDsums
         flows: Dict[int, int] = {}
         # Count values repeat heavily within and across rounds (loss counts
         # are small integers), so Fermat inverses are cached per decode.
@@ -572,21 +563,13 @@ class FermatSketch(InvertibleSketch):
             )
 
         while True:
-            if narrow:
-                candidates = [np.nonzero(counts % p != 0)[0] for counts in self._counts]
-            else:
-                # |count| < 2**63 < p, so count is a multiple of p iff it is 0.
-                candidates = [np.nonzero(counts != 0)[0] for counts in self._counts]
+            candidates = [np.nonzero(counts % p != 0)[0] for counts in self._counts]
             total = sum(int(j.size) for j in candidates)
             if total == 0:
                 break
-            tail_cutoff = SCALAR_TAIL_BUCKETS if narrow else SCALAR_TAIL_BUCKETS_WIDE
-            if total <= tail_cutoff or peels >= limit:
+            if total <= SCALAR_TAIL_BUCKETS or peels >= limit:
                 return finish_on_scalar_queue()
-            if narrow:
-                peeled = self._peel_frontier_u64(candidates, exponent, inverse_cache)
-            else:
-                peeled = self._peel_frontier_wide(candidates, inverse_cache)
+            peeled = self._peel_frontier_u64(candidates, exponent, inverse_cache)
             if not peeled:
                 break
             _merge_flows(flows, peeled)
@@ -600,16 +583,6 @@ class FermatSketch(InvertibleSketch):
                 trickle_streak = 0
         remaining = self.nonzero_buckets()
         return DecodeResult(flows=flows, success=remaining == 0, remaining=remaining)
-
-    def _verify_frontier(
-        self, i: int, j: np.ndarray, ext_keys: KeyArray, flow_part, fp_part
-    ) -> np.ndarray:
-        """Pure-bucket verification mask: rehash plus optional fingerprint."""
-        ok = self._hashes[i].hash_array(ext_keys) == j
-        if self._fp_hash is not None:
-            fp = self._fp_hash.hash_array(flow_part).astype(np.uint64)
-            ok &= fp == np.asarray(fp_part, dtype=np.uint64)
-        return ok
 
     def _invert_counts_u64(self, unique: np.ndarray, cache: Dict[int, int]) -> np.ndarray:
         """Inverses of unique count residues by extended Euclid, cached across rounds."""
@@ -643,12 +616,11 @@ class FermatSketch(InvertibleSketch):
             unique, inverse_index = np.unique(cmod, return_inverse=True)
             inverses = self._invert_counts_u64(unique, cache)[inverse_index]
             ext = modmul_mersenne_u64(self._idsums[i][j], inverses, exponent)
+            # Pure-bucket verification: rehash plus optional fingerprint.
+            ok = self._hashes[i].hash_array(KeyArray(ext)) == j
             if bits:
-                flow_part = ext >> np.uint64(bits)
-                fp_part = ext & np.uint64((1 << bits) - 1)
-            else:
-                flow_part = fp_part = None
-            ok = self._verify_frontier(i, j, KeyArray(ext), flow_part, fp_part)
+                fp = self._fp_hash.hash_array(ext >> np.uint64(bits)).astype(np.uint64)
+                ok &= fp == (ext & np.uint64((1 << bits) - 1))
             if ok.any():
                 exts.append(ext[ok])
                 raws.append(raw[ok])
@@ -682,62 +654,9 @@ class FermatSketch(InvertibleSketch):
         flow_ids = (ext_u >> np.uint64(bits)) if bits else ext_u
         return list(zip(flow_ids.tolist(), count_u.tolist()))
 
-    def _peel_frontier_wide(
-        self, candidates: List[np.ndarray], cache: Dict[int, int]
-    ) -> List[Tuple[int, int]]:
-        """One frontier round for wide primes (object-dtype IDsums).
-
-        Residues exceed uint64, so the modular arithmetic runs on Python ints
-        — but batched: one Montgomery inversion per round instead of one
-        ``pow`` per bucket, and rehash/fingerprint checks on whole arrays.
-        """
-        p = self.params.prime
-        bits = self.params.fingerprint_bits
-        exts: List[int] = []
-        raws: List[int] = []
-        for i, j in enumerate(candidates):
-            if j.size == 0:
-                continue
-            raw = self._counts[i][j].tolist()
-            counts_mod = [c % p for c in raw]
-            idsums = self._idsums[i][j].tolist()
-            missing = [c for c in dict.fromkeys(counts_mod) if c not in cache]
-            if missing:
-                cache.update(zip(missing, modinv_batch(missing, p)))
-            ext = [(int(s) * cache[c]) % p for s, c in zip(idsums, counts_mod)]
-            if bits:
-                fp_mask = (1 << bits) - 1
-                flow_part = [e >> bits for e in ext]
-                fp_part = [e & fp_mask for e in ext]
-            else:
-                flow_part = fp_part = None
-            ok = self._verify_frontier(i, j, KeyArray(ext), flow_part, fp_part)
-            for k in np.nonzero(ok)[0].tolist():
-                exts.append(ext[k])
-                raws.append(raw[k])
-        if not exts:
-            return []
-        seen: Dict[int, int] = {}
-        for ext, count in zip(exts, raws):
-            if ext not in seen:
-                seen[ext] = count
-        ext_u = list(seen)
-        count_u = np.fromiter(seen.values(), dtype=np.int64, count=len(seen))
-        keys = KeyArray(ext_u)
-        neg = np.array(
-            [(p - (e * (c % p)) % p) % p for e, c in seen.items()], dtype=object
-        )
-        for i2, h in enumerate(self._hashes):
-            indices = h.hash_array(keys)
-            np.subtract.at(self._counts[i2], indices, count_u)
-            np.add.at(self._idsums[i2], indices, neg)
-            self._idsums[i2] %= p
-        flow_ids = [e >> bits for e in ext_u] if bits else ext_u
-        return list(zip(flow_ids, count_u.tolist()))
-
-    def decode_nondestructive(self, vectorized: bool = True) -> DecodeResult:
+    def decode_nondestructive(self) -> DecodeResult:
         """Decode a copy, leaving this sketch untouched."""
-        return self.copy().decode(vectorized=vectorized)
+        return self.copy().decode()
 
     def load_factor(self, recorded_flows: int) -> float:
         """Load factor = recorded flows / total buckets."""

@@ -148,13 +148,12 @@ class FlowRadar(InvertibleSketch):
         return self
 
     # ------------------------------------------------------------------ #
-    def decode(self, vectorized: bool = True) -> DecodeResult:
+    def decode(self) -> DecodeResult:
         """Peel the counting table to recover every (flow, size) pair.
 
-        ``vectorized=True`` (the default) peels the whole ``FlowCount == 1``
-        frontier per round with NumPy scatters; ``vectorized=False`` is the
-        scalar queue reference.  Both leave the sketch untouched and produce
-        identical flow sets.
+        Peels the whole ``FlowCount == 1`` frontier per round with NumPy
+        scatters; :meth:`decode_scalar` is the scalar queue reference.  Both
+        leave the sketch untouched and produce identical flow sets.
 
         Caveat: a Bloom-filter false positive leaves "ghost" packets in the
         table (packet counts with no flow record), and on such inconsistent
@@ -163,8 +162,6 @@ class FlowRadar(InvertibleSketch):
         different flows (the recovered flow ID sets still match).  On
         filter-consistent states both paths are bit-identical.
         """
-        if not vectorized:
-            return self.decode_scalar()
         flow_xor = self._flow_xor.copy()
         flow_count = self._flow_count.copy()
         packet_count = self._packet_count.copy()
@@ -224,11 +221,6 @@ class FlowRadar(InvertibleSketch):
                 packet_count[k] -= size
                 if flow_count[k] == 1:
                     queue.append(k)
-
-    def decode_flow_set(self, vectorized: bool = True) -> Tuple[Dict[int, int], bool]:
-        """Convenience wrapper returning ``(flows, success)``."""
-        result = self.decode(vectorized=vectorized)
-        return result.flows, result.success
 
 
 def flowradar_loss_detection(

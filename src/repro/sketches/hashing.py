@@ -15,12 +15,19 @@ Two evaluation paths produce bit-identical results:
 * the scalar path (:meth:`PairwiseHash.__call__`) uses Python big-int
   arithmetic and is the reference implementation;
 * the vectorized path (:meth:`PairwiseHash.hash_array`) evaluates whole arrays
-  of keys at once.  Keys are decomposed into base-``2**32`` limbs held in
-  ``uint64`` NumPy arrays, the Mersenne modulus is reduced by folding
+  of keys at once for the ``2**89 - 1`` family, the one every hash in this
+  package is drawn from (other primes take the scalar loop).  Keys are
+  decomposed into base-``2**32`` limbs held in ``uint64`` NumPy arrays, the
+  Mersenne modulus is reduced by folding
   (``v mod (2**e - 1) == (v >> e) + (v & (2**e - 1))``, iterated), and the
   final ``mod m`` uses precomputed powers of ``2**32 mod m``.  Keys and their
   mod-``P`` reductions can be shared across hash functions via
   :class:`KeyArray`, which is what makes multi-hash sketches cheap to batch.
+
+The same limb arithmetic, for any Mersenne prime, computes the FermatSketch
+encoder's IDsum deltas (:func:`modmul_array`,
+:func:`fold_limb_sums_mod_mersenne`) and the frontier decoder's products
+(:func:`modmul_mersenne_u64`).
 """
 
 from __future__ import annotations
@@ -184,69 +191,6 @@ def _limbs_mod_mersenne(limbs: np.ndarray, e: int) -> np.ndarray:
     return out
 
 
-def _hash_mersenne(xlimbs: np.ndarray, a: int, b: int, e: int, m: int) -> np.ndarray:
-    """Fused ``((a * x + b) mod (2**e - 1)) mod m`` for any Mersenne exponent.
-
-    ``xlimbs`` must be reduced modulo ``2**e - 1``.  The schoolbook product is
-    expanded column-wise and every column's positional weight ``2**(32k)`` is
-    folded to ``2**((32k) mod e)`` before a final generic Mersenne reduction —
-    the same structure as the hand-tuned :func:`_hash89` but parameterized.
-    """
-    num_limbs = (e + _LIMB_BITS - 1) // _LIMB_BITS
-    x_len = min(xlimbs.shape[0], num_limbs)
-    n = xlimbs.shape[1]
-    a_limbs = [(a >> (_LIMB_BITS * i)) & 0xFFFFFFFF for i in range(num_limbs)]
-    cols: List[Optional[np.ndarray]] = [None] * (num_limbs + x_len)
-    for i, ai in enumerate(a_limbs):
-        if ai == 0:
-            continue
-        aiu = np.uint64(ai)
-        for j in range(x_len):
-            prod = aiu * xlimbs[j]
-            lo = prod & _LIMB_MASK
-            hi = prod >> _LIMB_SHIFT
-            cols[i + j] = lo if cols[i + j] is None else cols[i + j] + lo
-            k = i + j + 1
-            cols[k] = hi if cols[k] is None else cols[k] + hi
-    for i in range(num_limbs):
-        bi = (b >> (_LIMB_BITS * i)) & 0xFFFFFFFF
-        if bi:
-            biu = np.uint64(bi)
-            cols[i] = biu + cols[i] if cols[i] is not None else np.full(
-                n, biu, dtype=np.uint64
-            )
-    # Fold each column's weight 2**(32k) down to 2**((32k) mod e), splitting
-    # the (< 2**36) column sum into 32-bit halves so shifts stay in uint64.
-    wide = [None] * (num_limbs + 2)
-
-    def _accumulate(position: int, value: np.ndarray) -> None:
-        wide[position] = value if wide[position] is None else wide[position] + value
-
-    for k, col in enumerate(cols):
-        if col is None:
-            continue
-        shift = (_LIMB_BITS * k) % e
-        q, r = divmod(shift, _LIMB_BITS)
-        for half_offset, half in ((0, col & _LIMB_MASK), (1, col >> _LIMB_SHIFT)):
-            if r:
-                shifted = half << np.uint64(r)
-                _accumulate(q + half_offset, shifted & _LIMB_MASK)
-                _accumulate(q + half_offset + 1, shifted >> _LIMB_SHIFT)
-            else:
-                _accumulate(q + half_offset, half)
-    # Carry-normalize the (< 2**36) wide limbs into strict base-2**32 rows
-    # before the generic Mersenne fold (which assumes normalized limbs).
-    rows = max(i for i, w in enumerate(wide) if w is not None) + 1
-    stacked = np.zeros((rows + 1, n), dtype=np.uint64)
-    carry = np.zeros(n, dtype=np.uint64)
-    for i in range(rows):
-        s = carry if wide[i] is None else wide[i] + carry
-        stacked[i] = s & _LIMB_MASK
-        carry = s >> _LIMB_SHIFT
-    stacked[rows] = carry
-    return _limbs_mod_small(_limbs_mod_mersenne(stacked, e), m)
-
-
 def _limbs_mul_small_mod(
     xlimbs: np.ndarray, factors: np.ndarray, e: int
 ) -> np.ndarray:
@@ -272,25 +216,6 @@ def _limbs_mul_small_mod(
     return _limbs_mod_mersenne(out, e)
 
 
-def _limbs_mod_small(limbs: np.ndarray, m: int) -> np.ndarray:
-    """Reduce every column modulo a small ``m`` (``1 <= m <= 2**31``)."""
-    n = limbs.shape[1]
-    if m == 1:
-        return np.zeros(n, dtype=np.uint64)
-    if m & (m - 1) == 0:
-        # Power-of-two range: 2**32 mod m == 0, only the low limb contributes.
-        return limbs[0] & np.uint64(m - 1)
-    mu = np.uint64(m)
-    acc = np.zeros(n, dtype=np.uint64)
-    power = 1  # 2**(32*i) mod m
-    for i in range(limbs.shape[0]):
-        if power == 0:
-            break
-        acc = (acc + (limbs[i] % mu) * np.uint64(power)) % mu
-        power = (power << _LIMB_BITS) % m
-    return acc
-
-
 def _hash89(xlimbs: np.ndarray, a: int, b: int, m: int) -> np.ndarray:
     """Fused ``((a * x + b) mod (2**89 - 1)) mod m`` kernel.
 
@@ -298,8 +223,7 @@ def _hash89(xlimbs: np.ndarray, a: int, b: int, m: int) -> np.ndarray:
     below ``2**25``).  The kernel expands the schoolbook product column-wise,
     folds the positional weights with ``2**96 ≡ 2**7`` and ``2**128 ≡ 2**39``
     (mod ``2**89 - 1``), and finishes with at most two Mersenne folds — all on
-    flat uint64 arrays, which is what makes it ~10-30x faster than the generic
-    limb routines for the 89-bit family every sketch here uses.
+    flat uint64 arrays.
     """
     length, n = xlimbs.shape
     a_limbs = [np.uint64((a >> (_LIMB_BITS * i)) & 0xFFFFFFFF) for i in range(3)]
@@ -475,19 +399,15 @@ class PairwiseHash:
         key_array = keys if isinstance(keys, KeyArray) else KeyArray(keys)
         if key_array.size == 0:
             return np.zeros(0, dtype=np.int64)
-        exponent = mersenne_exponent(self.prime)
-        if exponent is not None and self.range_size <= _MAX_VECTOR_RANGE:
-            reduced = key_array.reduced(self.prime, exponent)
+        if self.prime == _MERSENNE_PRIME_89 and self.range_size <= _MAX_VECTOR_RANGE:
+            reduced = key_array.reduced(self.prime, 89)
             out = np.empty(key_array.size, dtype=np.int64)
             for start in range(0, key_array.size, _KERNEL_KEYS):
-                part = reduced[:, start:start + _KERNEL_KEYS]
-                out[start:start + _KERNEL_KEYS] = (
-                    _hash89(part, self.a, self.b, self.range_size)
-                    if exponent == 89
-                    else _hash_mersenne(part, self.a, self.b, exponent, self.range_size)
+                out[start:start + _KERNEL_KEYS] = _hash89(
+                    reduced[:, start:start + _KERNEL_KEYS], self.a, self.b, self.range_size
                 )
             return out
-        # Non-Mersenne primes / huge ranges: scalar reference loop.
+        # Other primes / huge ranges: scalar reference loop.
         return np.array([self(k) for k in key_array.ints()], dtype=np.int64)
 
 
@@ -552,33 +472,6 @@ def modmul_mersenne_u64(a: np.ndarray, b: np.ndarray, e: int) -> np.ndarray:
         v = (v & mask_e) + (v >> eu)
     v[v == mask_e] = 0
     return v
-
-
-def modinv_batch(values: Sequence[int], prime: int) -> List[int]:
-    """Inverses mod ``prime`` of non-zero residues via Montgomery's batch trick.
-
-    One prefix-product pass, a single inverse (``pow(_, -1, prime)``, by
-    extended Euclid), and one back-substitution pass replace ``len(values)``
-    inversions — three modular multiplications per value, which beat a
-    per-value Euclid inverse at 127 bits.  The decoder's frontier path for
-    the wide (89/127-bit) Fermat primes, whose residues do not fit uint64.
-    """
-    prefix: List[int] = []
-    acc = 1
-    for value in values:
-        acc = (acc * value) % prime
-        prefix.append(acc)
-    if not prefix:
-        return []
-    if acc == 0:
-        raise ValueError("modinv_batch requires values coprime to the prime")
-    inverse = pow(acc, -1, prime)
-    out = [0] * len(prefix)
-    for i in range(len(prefix) - 1, 0, -1):
-        out[i] = (inverse * prefix[i - 1]) % prime
-        inverse = (inverse * (values[i] % prime)) % prime
-    out[0] = inverse
-    return out
 
 
 def fold_limb_sums_mod_mersenne(limb_sums: np.ndarray, e: int) -> Optional[np.ndarray]:

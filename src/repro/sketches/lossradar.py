@@ -209,16 +209,13 @@ class LossRadar(InvertibleSketch):
         return self.copy().subtract(other)
 
     # ------------------------------------------------------------------ #
-    def decode(self, vectorized: bool = True) -> DecodeResult:
+    def decode(self) -> DecodeResult:
         """Peel the IBF and aggregate recovered packets per flow.
 
-        ``vectorized=True`` (the default) peels the whole ``count == 1``
-        frontier per round with NumPy scatters; ``vectorized=False`` is the
-        scalar queue reference.  Both leave the meter untouched and produce
-        identical per-flow packet counts.
+        Peels the whole ``count == 1`` frontier per round with NumPy
+        scatters; :meth:`decode_scalar` is the scalar queue reference.  Both
+        leave the meter untouched and produce identical per-flow packet counts.
         """
-        if not vectorized:
-            return self.decode_scalar()
         count = self._count.copy()
         xorsum = self._xorsum.copy()
         flows: Dict[int, int] = {}

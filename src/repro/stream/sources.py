@@ -91,6 +91,10 @@ class Phase:
             raise ValueError("a phase must last at least one epoch")
         if self.num_flows <= 0:
             raise ValueError("a phase needs a positive number of flows")
+        if not 0.0 <= self.victim_ratio <= 1.0:
+            raise ValueError("victim_ratio must be in [0, 1]")
+        if not 0.0 <= self.loss_rate <= 1.0:
+            raise ValueError("loss_rate must be in [0, 1]")
 
 
 @dataclass

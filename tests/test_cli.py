@@ -120,6 +120,17 @@ class TestRegistryCommands:
         assert main(["run", "fig4", "--set", "flows"]) == 2
         assert "KEY=VALUE" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario, override, message", [
+        ("fig4", "flows=0", "num_flows must be positive"),
+        ("fig4", "trials=0", "trials must be at least 1"),
+        ("fig10", "trials=0", "trials must be at least 1"),
+        ("ablation_fermat", "trials=0", "trials and decode_trials must be at least 1"),
+        ("ablation_fermat", "decode_trials=0", "trials and decode_trials must be at least 1"),
+    ])
+    def test_run_rejects_invalid_values(self, capsys, scenario, override, message):
+        assert main(["run", scenario, "--set", override, "--quiet"]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_global_seed_before_subcommand(self, capsys):
         assert main([
             "--seed", "11", "run", "fig4", "--set", "flows=150",
@@ -389,6 +400,8 @@ class TestServeCommand:
         ("--keep-checkpoints", "0", "keep_checkpoints"),
         ("--checkpoint-interval", "-1", "checkpoint_interval"),
         ("--scale", "0", "scale"),
+        ("--loss-rate", "3", "loss_rate must be in [0, 1]"),
+        ("--phases", "100:1.5:2", "bad --phases value '100:1.5:2': victim_ratio"),
     ])
     def test_serve_rejects_invalid_values(self, capsys, flag, value, name):
         assert main(["serve", "--phases", "50:0.0:1", "--quiet", flag, value]) == 2
