@@ -37,9 +37,11 @@ def main() -> None:
     # Both sketches come from the config-driven registry (repro.sketches).
     combo = build("tower_fermat", memory_bytes=MEMORY_BYTES, threshold=PROMOTION_THRESHOLD, seed=1)
     baseline = build("cm", memory_bytes=MEMORY_BYTES, seed=1)
-    for flow in trace.flows:
-        combo.insert(flow.flow_id, flow.size)
-        baseline.insert(flow.flow_id, flow.size)
+    # Whole-trace batch inserts: per-flow ``insert`` works too, but makes
+    # NumPy calls for every flow.
+    columns = trace.columns()
+    combo.insert_batch(columns.flow_ids, columns.sizes)
+    baseline.insert_batch(columns.flow_ids, columns.sizes)
 
     print(f"trace: {len(trace)} flows, {trace.num_packets()} packets")
     print(f"Tower+Fermat memory: {combo.memory_bytes() / 1000:.0f} KB "
@@ -78,13 +80,14 @@ def main() -> None:
     # 6. Heavy-change detection against a second epoch.
     second = generate_caida_like_trace(num_flows=NUM_FLOWS, seed=12)
     combo2 = build("tower_fermat", memory_bytes=MEMORY_BYTES, threshold=PROMOTION_THRESHOLD, seed=1)
-    for flow in second.flows:
-        combo2.insert(flow.flow_id, flow.size)
+    second_columns = second.columns()
+    combo2.insert_batch(second_columns.flow_ids, second_columns.sizes)
     change_threshold = 250
+    second_sizes = second.flow_sizes()
     truth_changes = {
         flow
-        for flow in set(truth_sizes) | set(second.flow_sizes())
-        if abs(truth_sizes.get(flow, 0) - second.flow_sizes().get(flow, 0)) > change_threshold
+        for flow in set(truth_sizes) | set(second_sizes)
+        if abs(truth_sizes.get(flow, 0) - second_sizes.get(flow, 0)) > change_threshold
     }
     reported_changes = {
         flow

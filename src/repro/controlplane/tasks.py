@@ -9,7 +9,7 @@ at its ingress switch, so per-switch results are disjoint).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, Iterable, List, Mapping, Sequence
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from ..sketches.mrac import (
     estimate_flow_size_distribution,
     merge_distributions,
 )
+from ..sketches.tower import TowerSketch
 
 SwitchId = object
 
@@ -82,11 +83,25 @@ def cardinality_estimate(view: SwitchView) -> float:
 def flow_size_distribution(view: SwitchView, iterations: int = 8) -> Dict[int, float]:
     """Flow-size distribution estimate ``{size: flows}`` for one switch.
 
-    Each classifier array contributes the distribution below its saturation
-    value (via MRAC); flows above the largest saturation come from the HH
-    Flowset.
+    HH Flowset flows are sized ``T_h + q`` (:func:`flow_size_estimate`).
     """
-    tower = view.group.classifier.tower
+    return tower_flow_size_distribution(
+        view.group.classifier.tower,
+        [view.threshold_high + size for size in view.hh_flowset.values()],
+        iterations=iterations,
+    )
+
+
+def tower_flow_size_distribution(
+    tower: TowerSketch, hh_sizes: Iterable[int], iterations: int = 8
+) -> Dict[int, float]:
+    """Flow-size distribution ``{size: flows}`` from a Tower and its HH sizes.
+
+    Each Tower level contributes MRAC's estimate below its saturation value
+    (above the previous level's); ``hh_sizes``, the estimated sizes of the
+    flows decoded from the HH part, supply the tail at or above the largest
+    saturation.  Tower+Fermat (appendix C) shares it.
+    """
     parts = []
     previous_saturation = 1
     for index, level in enumerate(tower.levels):
@@ -102,13 +117,10 @@ def flow_size_distribution(view: SwitchView, iterations: int = 8) -> Dict[int, f
         }
         parts.append(ranged)
         previous_saturation = level.saturation
-    # Tail from the HH Flowset: flows whose estimate exceeds the largest
-    # non-saturating size.
     tail: Dict[int, float] = {}
-    for flow_id, size in view.hh_flowset.items():
-        estimate = view.threshold_high + size
-        if estimate >= previous_saturation:
-            tail[estimate] = tail.get(estimate, 0.0) + 1.0
+    for size in hh_sizes:
+        if size >= previous_saturation:
+            tail[size] = tail.get(size, 0.0) + 1.0
     parts.append(tail)
     return merge_distributions(parts)
 

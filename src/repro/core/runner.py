@@ -217,6 +217,8 @@ class ChameleMon:
         is stable; this helper reproduces that protocol and returns the full
         history (the last element is the stable epoch).
         """
+        if max_epochs < 1:
+            raise ValueError("max_epochs must be at least 1")
         results: List[EpochResult] = []
         unchanged = 0
         previous_config: Optional[MonitoringConfig] = None

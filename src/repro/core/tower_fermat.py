@@ -5,9 +5,9 @@ Appendix C evaluates "the combination of TowerSketch and FermatSketch"
 records every packet and acts as the classifier, and a FermatSketch records
 the packets of flows whose running estimate reaches the HH-candidate threshold
 ``T_h``.  Queries combine the two: flows found in the decoded Fermat Flowset
-are estimated as ``T_h + q`` while everything else falls back to the Tower
-query.  This is exactly the upstream path of the ChameleMon data plane with
-the HL/LL encoders removed, packaged as a single-node sketch.
+are estimated as ``T_h - 1 + q`` while everything else falls back to the
+Tower query.  This is exactly the upstream path of the ChameleMon data plane
+with the HL/LL encoders removed, packaged as a single-node sketch.
 """
 
 from __future__ import annotations
@@ -16,15 +16,13 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..controlplane.tasks import tower_flow_size_distribution
+from ..dataplane.classifier import split_flows
 from ..sketches.base import FrequencySketch, HeavyHitterSketch
 from ..sketches.hashing import KeyArray
 from ..sketches.fermat import MERSENNE_PRIME_61, FermatSketch
 from ..sketches.linear_counting import estimate_cardinality
-from ..sketches.mrac import (
-    distribution_entropy,
-    estimate_flow_size_distribution,
-    merge_distributions,
-)
+from ..sketches.mrac import distribution_entropy
 from ..sketches.tower import TowerSketch
 
 #: Figure 11 configuration: 2500 Fermat buckets split over 3 arrays, T_h = 250.
@@ -120,78 +118,31 @@ class TowerFermat(HeavyHitterSketch, FrequencySketch):
 
     # ------------------------------------------------------------------ #
     def insert(self, flow_id: int, count: int = 1) -> None:
-        """Insert packets one flow at a time (equivalent to per-packet insertion)."""
-        self._flowset = None
-        remaining = count
-        while remaining > 0:
-            estimate = self.tower.query(flow_id)
-            if estimate + 1 >= self.threshold:
-                # Every further packet of this flow is an HH-candidate packet.
-                self.tower.insert(flow_id, remaining)
-                self.fermat.insert(flow_id, remaining)
-                return
-            chunk = min(remaining, self.threshold - 1 - estimate)
-            chunk = max(1, chunk)
-            self.tower.insert(flow_id, chunk)
-            remaining -= chunk
+        """Insert ``count`` packets of one flow: the one-flow :meth:`insert_batch`."""
+        self.insert_batch([flow_id], [count])
 
     def insert_batch(
         self,
-        flow_ids: Union[Sequence[int], np.ndarray],
+        flow_ids: Union[Sequence[int], np.ndarray, KeyArray],
         counts: Union[Sequence[int], np.ndarray],
     ) -> None:
-        """Bulk insert — bit-identical to scalar :meth:`insert` in order.
+        """Insert flows in batch order, as inserting their packets one by one would.
 
-        The promotion decision of a flow depends on the Tower state left by
-        every earlier flow (collisions inflate estimates), so the flows are
-        processed sequentially; what gets vectorized is the expensive part —
-        the big-int hash evaluations (one :class:`KeyArray` shared across the
-        Tower levels) and the Fermat encoding of all promoted flows, which is
-        order-insensitive and deferred to a single ``insert_batch``.
+        Every packet goes to the Tower part; once its flow's estimate after
+        the packet reaches the threshold, it goes to the Fermat part too.
+        That is the classifier's split with ``T_l = 1`` (no packet is LL and
+        the HL column is the Tower-only packets), so
+        :func:`~repro.dataplane.classifier.split_flows` walks all flows at
+        once and the Fermat part encodes the HH column in one ``insert_batch``.
         """
         keys = flow_ids if isinstance(flow_ids, KeyArray) else KeyArray(flow_ids)
-        counts = [int(c) for c in counts]
-        if len(counts) != keys.size:
-            raise ValueError("flow_ids and counts must have the same length")
-        if not counts:
-            return
         self._flowset = None
-        tower = self.tower
-        indices = [h.hash_array(keys).tolist() for h in tower._hashes]
-        counters = [row.tolist() for row in tower._counters]
-        saturations = [level.saturation for level in tower.levels]
-        max_saturation = max(saturations)
-        num_levels = len(saturations)
-        threshold = self.threshold
-        promoted_ids: List[int] = []
-        promoted_counts: List[int] = []
-        id_list: Optional[List[int]] = None
-        for k, count in enumerate(counts):
-            remaining = count
-            while remaining > 0:
-                estimate = None
-                for li in range(num_levels):
-                    value = counters[li][indices[li][k]]
-                    if value < saturations[li]:
-                        estimate = value if estimate is None else min(estimate, value)
-                if estimate is None:
-                    estimate = max_saturation
-                if estimate + 1 >= threshold:
-                    chunk = remaining
-                    if id_list is None:
-                        id_list = keys.ints()
-                    promoted_ids.append(id_list[k])
-                    promoted_counts.append(remaining)
-                else:
-                    chunk = max(1, min(remaining, threshold - 1 - estimate))
-                for li in range(num_levels):
-                    j = indices[li][k]
-                    counters[li][j] = min(counters[li][j] + chunk, saturations[li])
-                remaining -= chunk
-        for li in range(num_levels):
-            tower._counters[li][:] = counters[li]
-        if promoted_ids:
-            self.fermat.insert_batch(promoted_ids, promoted_counts)
+        _, _, promoted = split_flows(
+            [self.tower], np.zeros(keys.size, dtype=np.int64), keys, counts, self.threshold, 1
+        )
+        rows = np.flatnonzero(promoted)
+        if rows.size:
+            self.fermat.insert_batch(keys.take(rows), promoted[rows])
 
     def flowset(self) -> Dict[int, int]:
         """The decoded Fermat Flowset (cached until the next insertion).
@@ -228,29 +179,11 @@ class TowerFermat(HeavyHitterSketch, FrequencySketch):
         return estimate_cardinality(self.tower.widest_array())
 
     def flow_size_distribution(self, iterations: int = 8) -> Dict[int, float]:
-        parts = []
-        previous_saturation = 1
-        for index, level in enumerate(self.tower.levels):
-            estimate = estimate_flow_size_distribution(
-                self.tower.counter_array(index),
-                iterations=iterations,
-                saturation=level.saturation,
-            )
-            parts.append(
-                {
-                    size: count
-                    for size, count in estimate.items()
-                    if previous_saturation <= size < level.saturation
-                }
-            )
-            previous_saturation = level.saturation
-        tail: Dict[int, float] = {}
-        for flow_id, size in self.flowset().items():
-            estimate = self.threshold - 1 + size
-            if estimate >= previous_saturation:
-                tail[estimate] = tail.get(estimate, 0.0) + 1.0
-        parts.append(tail)
-        return merge_distributions(parts)
+        return tower_flow_size_distribution(
+            self.tower,
+            [self.threshold - 1 + size for size in self.flowset().values()],
+            iterations=iterations,
+        )
 
     def entropy(self, iterations: int = 8) -> float:
         return distribution_entropy(self.flow_size_distribution(iterations=iterations))

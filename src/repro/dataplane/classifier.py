@@ -9,13 +9,15 @@ the mechanism the P4 implementation uses (appendix D.1, "Sampling").
 :func:`classify_flows` classifies a batch of flows for many switches at once
 (each flow at its ingress switch's classifier); every switch of a deployment
 shares the classifier's hashes, so each Tower level and the sample hash are
-evaluated once per batch.
+evaluated once per batch.  :func:`split_flows` is the one LL/HL/HH walk, for
+any number of Tower levels; Tower+Fermat (appendix C) runs it too, with one
+threshold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -81,216 +83,130 @@ def classify_flows(
     Flow ``r`` enters at ``classifiers[owner[r]]``; within a switch, flows
     arrive in batch order.  The classifiers must share their seed and
     geometry (one deployment), so each Tower level and the sample hash are
-    evaluated once over all flows.
-
-    Although classification is order-dependent (earlier flows' Tower
-    insertions inflate later colliding flows' estimates), the value a flow
-    *observes* in a counter is ``min(initial + sum of earlier colliding
-    flows' sizes, saturation)`` because saturating addition of non-negative
-    increments clips only the stored value.  Those exclusive prefix sums are
-    computed per ``(switch, counter)`` key with one stable sort and a grouped
-    cumulative sum, the three-way LL/HL/HH split then has a closed form per
-    flow, and only flows that cross a saturation boundary mid-flow fall back
-    to the scalar walk — so every decision and every counter is bit-identical
-    to classifying each switch's flows one at a time.
+    evaluated once over all flows.  :func:`split_flows` does the insertion
+    and the LL/HL/HH split at the config's ``T_l`` and ``T_h``.
     """
     keys = flow_ids if isinstance(flow_ids, KeyArray) else KeyArray(flow_ids)
-    sizes_arr = np.asarray(sizes, dtype=np.int64)
-    owner = np.asarray(owner, dtype=np.int64)
-    n = sizes_arr.size
-    if keys.size != n or owner.size != n:
-        raise ValueError("flow_ids, sizes and owners must have the same length")
+    ll, hl, hh = split_flows(
+        [classifier.tower for classifier in classifiers],
+        owner,
+        keys,
+        sizes,
+        config.threshold_high,
+        config.threshold_low,
+    )
     sample_threshold = int(round(config.sample_rate * SAMPLE_HASH_RANGE))
     sampled = classifiers[0]._sample_hash.hash_array(keys) < sample_threshold
-    towers = [classifier.tower for classifier in classifiers]
-    positive = np.maximum(sizes_arr, 0)
-    ll = np.zeros(n, dtype=np.int64)
-    hl = np.zeros(n, dtype=np.int64)
-    hh = np.zeros(n, dtype=np.int64)
-    if n and len(towers[0].levels) == 2:
-        _classify_two_level(towers, owner, keys, positive, config, ll, hl, hh)
-    elif n:
-        _classify_generic(towers, owner, keys, positive, config, ll, hl, hh)
     return ClassifiedBatch(keys=keys, sampled=sampled, ll=ll, hl=hl, hh=hh)
 
 
-def _switch_spans(keys: np.ndarray, width: int, num: int) -> List[Tuple[int, int, int]]:
-    """``(switch, lo, hi)`` per switch with keys: ``keys[lo:hi]`` is its run.
-
-    ``keys`` are ascending ``switch * width + index`` keys.
-    """
-    bounds = np.searchsorted(keys, np.arange(num + 1) * width).tolist()
-    return [(s, lo, hi) for s, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if lo < hi]
-
-
-def _classify_two_level(
+def split_flows(
     towers: Sequence[TowerSketch],
+    owner: Union[Sequence[int], np.ndarray],
+    keys: KeyArray,
+    sizes: Union[Sequence[int], np.ndarray],
+    threshold_high: int,
+    threshold_low: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Insert flow ``r`` into ``towers[owner[r]]`` in batch order; split its packets.
+
+    Returns each flow's ``(ll, hl, hh)`` packet totals, as inserting the
+    packets one at a time would sort them: a packet is HH when its flow's
+    estimate after the insertion reaches ``threshold_high``, else HL when it
+    reaches ``threshold_low``, else LL.  Flows of size zero or less insert
+    nothing.  The towers must share levels and hashes (one deployment).
+
+    Although insertion is order-dependent (earlier flows' packets inflate
+    later colliding flows' estimates), the value a flow *observes* in a
+    counter on arrival is ``min(initial + sum of earlier colliding flows'
+    sizes, saturation)``, because saturating addition of non-negative
+    increments clips only the stored value (:func:`_arrival_values`).  From
+    those values all flows walk their packets together, one chunk per step:
+    a chunk runs to the next threshold, a counter that saturates inside it
+    drops out of the next estimate, and a flow whose counters are all
+    saturated (estimate stuck at the largest saturation) finishes in one
+    chunk.  The tier rises at most twice and each level saturates at most
+    once, so a flow takes at most ``levels + 3`` steps, and every split and
+    counter is bit-identical to inserting the flows one by one.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    owner = np.asarray(owner, dtype=np.int64)
+    n = sizes.size
+    if keys.size != n or owner.size != n:
+        raise ValueError("flow_ids, sizes and owners must have the same length")
+    splits = np.zeros((3, n), dtype=np.int64)  # the LL, HL and HH rows
+    positive = np.maximum(sizes, 0)
+    rows = np.flatnonzero(positive)
+    if rows.size == 0:
+        return splits[0], splits[1], splits[2]
+    levels = towers[0].levels
+    saturation = np.array([[level.saturation] for level in levels], dtype=np.int64)
+    stuck = int(saturation.max())
+    values = np.stack(
+        [_arrival_values(towers, index, owner, keys, positive) for index in range(len(levels))]
+    ).take(rows, axis=1)
+    remaining = positive[rows]
+    flat = splits.reshape(-1)
+    while rows.size:
+        estimate = np.where(values < saturation, values, stuck).min(axis=0)
+        after = estimate + 1
+        tier = (after >= threshold_low).astype(np.int64)
+        tier[after >= threshold_high] = 2
+        # LL and HL chunks stop where the estimate reaches the next threshold.
+        room = np.where(tier == 1, threshold_high, threshold_low) - after
+        chunk = np.where((tier == 2) | (estimate == stuck), remaining, np.minimum(remaining, room))
+        flat[tier * n + rows] += chunk
+        remaining -= chunk
+        left = np.flatnonzero(remaining)
+        rows, remaining = rows[left], remaining[left]
+        # A value past its level's saturation reads as saturated: no clip.
+        values = values.take(left, axis=1) + chunk[left]
+    return splits[0], splits[1], splits[2]
+
+
+def _arrival_values(
+    towers: Sequence[TowerSketch],
+    level_index: int,
     owner: np.ndarray,
     keys: KeyArray,
     positive: np.ndarray,
-    config: MonitoringConfig,
-    ll: np.ndarray,
-    hl: np.ndarray,
-    hh: np.ndarray,
-) -> None:
-    """Fill per-flow LL/HL/HH packet totals for the 2-level testbed tower."""
-    threshold_high = config.threshold_high
-    threshold_low = config.threshold_low
-    n = positive.size
-    levels = towers[0].levels
-    saturations = [level.saturation for level in levels]
-    max_saturation = max(saturations)
-    pre_values: List[np.ndarray] = []
-    for level_index in range(2):
-        width = levels[level_index].num_counters
-        saturation = saturations[level_index]
-        combined = owner * width + towers[0]._hashes[level_index].hash_array(keys)
-        order = np.argsort(combined, kind="stable")
-        sorted_keys = combined[order]
-        sorted_sizes = positive[order]
-        inclusive = np.cumsum(sorted_sizes)
-        exclusive = inclusive - sorted_sizes
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        first[1:] = sorted_keys[1:] != sorted_keys[:-1]
-        starts = np.flatnonzero(first)
-        group_keys = sorted_keys[starts]
-        group_of = np.cumsum(first) - 1
-        # Each (switch, counter)'s value before this batch, and after it.
-        runs = [
-            (towers[s]._counters[level_index], lo, hi, group_keys[lo:hi] - s * width)
-            for s, lo, hi in _switch_spans(group_keys, width, len(towers))
-        ]
-        initial = np.empty(starts.size, dtype=np.int64)
-        for counters, lo, hi, local in runs:
-            initial[lo:hi] = counters[local]
-        final = np.minimum(initial + np.add.reduceat(sorted_sizes, starts), saturation)
-        for counters, lo, hi, local in runs:
-            counters[local] = final[lo:hi]
-        seen = np.empty(n, dtype=np.int64)
-        seen[order] = np.minimum(
-            initial[group_of] + (exclusive - exclusive[starts][group_of]), saturation
-        )
-        pre_values.append(seen)
-    value_0, value_1 = pre_values
-    saturation_0, saturation_1 = saturations
-    unsat_0 = value_0 < saturation_0
-    unsat_1 = value_1 < saturation_1
-    entry = np.full(n, max_saturation, dtype=np.int64)
-    np.minimum(entry, value_0, where=unsat_0, out=entry)
-    np.minimum(entry, value_1, where=unsat_1, out=entry)
-    # Closed-form three-way split from the entry estimate.
-    next_estimate = entry + 1
-    hh_first = next_estimate >= threshold_high
-    ll_first = next_estimate < threshold_low
-    np.copyto(ll, np.where(ll_first, np.minimum(positive, threshold_low - 1 - entry), 0))
-    rem_after_ll = positive - ll
-    hl_cap = np.where(
-        ll_first, threshold_high - threshold_low,
-        np.maximum(threshold_high - 1 - entry, 0),
+) -> np.ndarray:
+    """Each flow's level-``level_index`` counter value on arrival, in batch order.
+
+    Exclusive prefix sums of the sizes per ``(switch, counter)`` key, from
+    one stable sort and a grouped cumulative sum; also writes every counter's
+    value after the batch.
+    """
+    level = towers[0].levels[level_index]
+    width = level.num_counters
+    saturation = level.saturation
+    combined = owner * width + towers[0]._hashes[level_index].hash_array(keys)
+    order = np.argsort(combined, kind="stable")
+    sorted_keys = combined[order]
+    sorted_sizes = positive[order]
+    exclusive = np.cumsum(sorted_sizes) - sorted_sizes
+    first = np.empty(sorted_keys.size, dtype=bool)
+    first[0] = True
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    starts = np.flatnonzero(first)
+    group_keys = sorted_keys[starts]
+    group_of = np.cumsum(first) - 1
+    # Each (switch, counter)'s value before this batch, and after it; the
+    # keys of switch s are the run s * width <= key < (s + 1) * width.
+    bounds = np.searchsorted(group_keys, np.arange(len(towers) + 1) * width).tolist()
+    runs = [
+        (towers[s]._counters[level_index], lo, hi, group_keys[lo:hi] - s * width)
+        for s, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+        if lo < hi
+    ]
+    initial = np.empty(starts.size, dtype=np.int64)
+    for counters, lo, hi, local in runs:
+        initial[lo:hi] = counters[local]
+    final = np.minimum(initial + np.add.reduceat(sorted_sizes, starts), saturation)
+    for counters, lo, hi, local in runs:
+        counters[local] = final[lo:hi]
+    seen = np.empty(sorted_keys.size, dtype=np.int64)
+    seen[order] = np.minimum(
+        initial[group_of] + (exclusive - exclusive[starts][group_of]), saturation
     )
-    np.copyto(hl, np.where(hh_first, 0, np.minimum(rem_after_ll, hl_cap)))
-    np.copyto(hh, positive - ll - hl)
-    # Flows whose counters cross saturation mid-flow (or degenerate
-    # configurations) replay the scalar walk on their exact entry values,
-    # unless they start as HH candidates: then every packet is HH either way.
-    fallback = (
-        (unsat_0 & (value_0 + positive >= saturation_0))
-        | (unsat_1 & (value_1 + positive >= saturation_1))
-        | ((~unsat_0) & (~unsat_1) & (max_saturation + 1 < threshold_high))
-    ) & (positive > 0) & ~hh_first
-    if not fallback.any():
-        return
-    for k in np.nonzero(fallback)[0].tolist():
-        v0 = int(value_0[k])
-        v1 = int(value_1[k])
-        remaining = int(positive[k])
-        ll_k = hl_k = hh_k = 0
-        while remaining > 0:
-            if v0 < saturation_0:
-                estimate = v1 if (v1 < saturation_1 and v1 < v0) else v0
-            elif v1 < saturation_1:
-                estimate = v1
-            else:
-                estimate = max_saturation
-            next_est = estimate + 1
-            if next_est >= threshold_high:
-                chunk = remaining
-                hh_k += chunk
-            elif next_est >= threshold_low:
-                chunk = max(1, min(remaining, threshold_high - 1 - estimate))
-                hl_k += chunk
-            else:
-                chunk = max(1, min(remaining, threshold_low - 1 - estimate))
-                ll_k += chunk
-            v0 = min(v0 + chunk, saturation_0)
-            v1 = min(v1 + chunk, saturation_1)
-            remaining -= chunk
-        ll[k] = ll_k
-        hl[k] = hl_k
-        hh[k] = hh_k
-
-
-def _classify_generic(
-    towers: Sequence[TowerSketch],
-    owner: np.ndarray,
-    keys: KeyArray,
-    positive: np.ndarray,
-    config: MonitoringConfig,
-    ll: np.ndarray,
-    hl: np.ndarray,
-    hh: np.ndarray,
-) -> None:
-    """Scalar-walk classification for towers with != 2 levels.
-
-    Flows walk in batch order over every switch's counters laid end to end,
-    indexed by the same ``switch * width + index`` keys as the 2-level path.
-    """
-    levels = towers[0].levels
-    widths = [level.num_counters for level in levels]
-    indices = [
-        (owner * width + h.hash_array(keys)).tolist()
-        for h, width in zip(towers[0]._hashes, widths)
-    ]
-    counters = [
-        np.concatenate([tower._counters[li] for tower in towers]).tolist()
-        for li in range(len(levels))
-    ]
-    saturations = [level.saturation for level in levels]
-    max_saturation = max(saturations)
-    num_levels = len(saturations)
-    threshold_high = config.threshold_high
-    threshold_low = config.threshold_low
-    for k, num_packets in enumerate(positive.tolist()):
-        if num_packets <= 0:
-            continue
-        remaining = num_packets
-        ll_k = hl_k = hh_k = 0
-        while remaining > 0:
-            estimate = None
-            for li in range(num_levels):
-                value = counters[li][indices[li][k]]
-                if value < saturations[li]:
-                    estimate = value if estimate is None else min(estimate, value)
-            if estimate is None:
-                estimate = max_saturation
-            next_estimate = estimate + 1
-            if next_estimate >= threshold_high:
-                chunk = remaining
-                hh_k += chunk
-            elif next_estimate >= threshold_low:
-                chunk = max(1, min(remaining, threshold_high - 1 - estimate))
-                hl_k += chunk
-            else:
-                chunk = max(1, min(remaining, threshold_low - 1 - estimate))
-                ll_k += chunk
-            for li in range(num_levels):
-                j = indices[li][k]
-                counters[li][j] = min(counters[li][j] + chunk, saturations[li])
-            remaining -= chunk
-        ll[k] = ll_k
-        hl[k] = hl_k
-        hh[k] = hh_k
-    for li, width in enumerate(widths):
-        for s, tower in enumerate(towers):
-            tower._counters[li][:] = counters[li][s * width:(s + 1) * width]
+    return seen

@@ -60,19 +60,15 @@ def build_sketch(name: str, memory_bytes: int, seed: int = 0, hh_candidate_thres
 
 
 def insert_trace(sketch, trace: Trace) -> None:
-    """Feed a whole trace into a sketch, one flow at a time.
+    """Feed a whole trace into a sketch in trace order: one ``insert_batch``.
 
-    Iterates the trace's columns directly (no row-view materialization); the
-    per-flow scalar loop is kept because several baselines (HashPipe, Elastic,
-    CocoSketch) are order-dependent — their state after N inserts depends on
-    the insert sequence, so a batched path would change results.
+    The base :meth:`~repro.sketches.base.Sketch.insert_batch` is the
+    in-order ``insert`` loop, so the order-dependent baselines (HashPipe,
+    Elastic, CocoSketch, CU) keep their exact state, while CM and
+    Tower+Fermat insert the whole trace in NumPy.
     """
     columns = trace.columns()
-    flow_ids = columns.flow_ids.tolist()
-    sizes = columns.sizes.tolist()
-    insert = sketch.insert
-    for index, flow_id in enumerate(flow_ids):
-        insert(int(flow_id), sizes[index])
+    sketch.insert_batch(columns.flow_ids, columns.sizes)
 
 
 def _estimated_distribution(name: str, sketch, iterations: int = 6) -> Dict[int, float]:

@@ -18,7 +18,7 @@ figure-11 task runs against any object exposing the right protocol.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 
 class Sketch(abc.ABC):
@@ -31,11 +31,6 @@ class Sketch(abc.ABC):
     @abc.abstractmethod
     def memory_bytes(self) -> int:
         """Memory footprint of the sketch under the paper's field widths."""
-
-    def insert_many(self, flows: Iterable[Tuple[int, int]]) -> None:
-        """Insert ``(flow_id, count)`` pairs in bulk."""
-        for flow_id, count in flows:
-            self.insert(flow_id, count)
 
     def insert_batch(self, flow_ids, counts) -> None:
         """Insert parallel arrays of flow IDs and counts.

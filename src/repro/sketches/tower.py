@@ -188,9 +188,6 @@ class TowerSketch(FrequencySketch):
         )
         return self.counter_array(index)
 
-    def level_saturation(self, level_index: int) -> int:
-        return self.levels[level_index].saturation
-
     def add(self, other: "TowerSketch") -> "TowerSketch":
         """In-place bucket-wise saturating merge of a compatible TowerSketch.
 

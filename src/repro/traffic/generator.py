@@ -215,6 +215,8 @@ def _mark_victims_columns(
     victim_selection: str,
     rng: np.random.Generator,
 ) -> None:
+    if not 0.0 <= loss_rate <= 1.0:
+        raise ValueError("loss_rate must be in [0, 1]")
     if victim_count <= 0:
         return
     if victim_selection == "largest":

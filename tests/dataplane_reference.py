@@ -11,6 +11,10 @@ back as segments with ``batch_segments``.  ``loss_uniform`` is one loss-draw
 uniform computed on Python ints, the oracle of the vectorized
 ``loss_uniforms`` (``tests/test_network.py``).
 
+``tower_fermat_walk`` is Tower+Fermat's per-flow walk (appendix C), the
+oracle of ``TowerFermat.insert`` and ``insert_batch``
+(``tests/test_numpy_backend.py``).
+
 ``reference_epoch`` is an oracle for a whole ``run_epoch``: it walks the
 trace flow by flow with ``classify_flow_packets`` at the ingress switch,
 draws losses with ``distribute_losses_uniform`` on ``loss_uniform``s, and
@@ -19,8 +23,8 @@ encodes each segment with one scalar ``FermatSketch.insert``
 same shape back from a simulator that ran the epoch; the golden digests hash
 it too.
 
-The walks are the classifier methods as they stood in ``src/``, written as
-functions of the classifier.
+The walks are the classifier and Tower+Fermat methods as they stood in
+``src/``, written as functions of the classifier or the Tower.
 """
 
 from typing import Any, Dict, List, Optional, Tuple
@@ -39,6 +43,7 @@ from repro.network.simulator import (
     epoch_loss_key,
     mix64,
 )
+from repro.sketches.tower import TowerSketch
 
 
 def is_sampled(classifier: FlowClassifier, flow_id: int, config: MonitoringConfig) -> bool:
@@ -111,6 +116,28 @@ def classify_flow_packets(
             segments.append((hierarchy, chunk))
         remaining -= chunk
     return segments
+
+
+def tower_fermat_walk(tower: TowerSketch, flow_id: int, count: int, threshold: int) -> int:
+    """Insert ``count`` packets of one flow into Tower+Fermat's Tower part.
+
+    Returns how many of them the Fermat part records: the first packet whose
+    post-insert estimate reaches ``threshold`` and every later one (appendix C).
+    Tower+Fermat's ``insert`` and ``insert_batch`` must leave the Tower as
+    this walk does, flow by flow, and the Fermat part as one scalar
+    ``FermatSketch.insert`` of the returned count per flow.
+    """
+    remaining = count
+    while remaining > 0:
+        estimate = tower.query(flow_id)
+        if estimate + 1 >= threshold:
+            # Every further packet of this flow is an HH-candidate packet.
+            tower.insert(flow_id, remaining)
+            return remaining
+        chunk = max(1, min(remaining, threshold - 1 - estimate))
+        tower.insert(flow_id, chunk)
+        remaining -= chunk
+    return 0
 
 
 def batch_segments(batch: ClassifiedBatch) -> List[List[Tuple[FlowHierarchy, int]]]:

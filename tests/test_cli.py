@@ -126,6 +126,10 @@ class TestRegistryCommands:
         ("fig10", "trials=0", "trials must be at least 1"),
         ("ablation_fermat", "trials=0", "trials and decode_trials must be at least 1"),
         ("ablation_fermat", "decode_trials=0", "trials and decode_trials must be at least 1"),
+        ("fig7", "max_epochs=0", "max_epochs must be at least 1"),
+        ("fig8", "max_epochs=0", "max_epochs must be at least 1"),
+        ("fig5", "loss_rate=3", "loss_rate must be in [0, 1]"),
+        ("fig4", "loss_rate=-1", "loss_rate must be in [0, 1]"),
     ])
     def test_run_rejects_invalid_values(self, capsys, scenario, override, message):
         assert main(["run", scenario, "--set", override, "--quiet"]) == 2

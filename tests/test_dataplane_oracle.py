@@ -24,8 +24,8 @@ from dataplane_reference import collect_dataplane_state, reference_epoch
 TESTBED = FatTreeTopology.testbed()
 FABRIC = FatTreeTopology(FatTreeSpec(k=8))
 
-#: Two narrow levels that saturate within a few flows (the 2-level path's
-#: fallback walk), and three levels (the generic walk).
+#: Two and three narrow levels that saturate within a few flows, so the
+#: classifier's walk steps past saturated counters mid-flow.
 TINY_LEVELS = {"tiny": ((4, 32), (6, 16)), "tiny3": ((4, 64), (6, 32), (8, 16))}
 
 

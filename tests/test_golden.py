@@ -12,7 +12,7 @@ mismatch the failure message lists every case's current digest to copy from.
 The matrix, each at seeds 0, 1 and 2:
 
 * ``records/<scenario>`` -- the timing-stripped rows (``comparable_records``)
-  of the smoke point of seven registered scenarios.  fig4's ``*_ms`` columns
+  of the smoke point of eight registered scenarios.  fig4's ``*_ms`` columns
   are decode wall times and are dropped.
 * ``serve/records`` and ``serve/checkpoint`` -- the ``serve`` command with the
   CI smoke flags plus ``--jsonl`` and ``--checkpoint``: its JSONL records and
@@ -59,6 +59,7 @@ SCENARIOS = (
     "fig4",
     "fig7",
     "fig9",
+    "fig11",
 )
 #: fig4 columns that time each scheme's decode: wall clock, not network state.
 WALL_TIME_COLUMNS = ("fermat_ms", "flowradar_ms", "lossradar_ms")

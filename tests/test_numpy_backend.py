@@ -27,7 +27,7 @@ from repro.sketches.fermat import (
 from repro.sketches.hashing import HashFamily, KeyArray, PairwiseHash, modmul_array
 from repro.sketches.tower import TowerSketch
 
-from dataplane_reference import batch_segments, classify_flow_packets
+from dataplane_reference import batch_segments, classify_flow_packets, tower_fermat_walk
 
 
 def random_flows(seed, count=400, key_bits=32, max_size=300):
@@ -189,23 +189,51 @@ class TestSketchBatchEquivalence:
         with pytest.raises(ValueError):
             sketch.insert_batch([MERSENNE_PRIME_61 + 1], [1])
 
-    @pytest.mark.parametrize("seed", [7, 8])
-    def test_tower_fermat_insert(self, seed):
-        ids, sizes = random_flows(seed, count=500, key_bits=32, max_size=600)
-        scalar = TowerFermat([(8, 1024), (16, 512)], fermat_buckets=600,
-                             threshold=50, seed=seed)
-        batched = TowerFermat([(8, 1024), (16, 512)], fermat_buckets=600,
-                              threshold=50, seed=seed)
+    @pytest.mark.parametrize(
+        "levels, threshold, max_size",
+        [
+            (((16, 512),), 50, 600),
+            (((8, 1024), (16, 512)), 50, 600),
+            (((8, 256), (12, 128), (16, 64)), 300, 900),
+            # Narrow counters saturate mid-flow and soon for good; T_h lies
+            # between the two saturations.
+            (((3, 32), (5, 8)), 20, 40),
+            # T_h lies above the only saturation: saturated flows' estimates
+            # stay stuck below it and nothing reaches the Fermat part.
+            (((4, 32),), 20, 60),
+        ],
+        ids=["1-level", "2-level", "3-level", "saturating", "stuck"],
+    )
+    def test_tower_fermat_matches_walk(self, levels, threshold, max_size):
+        ids, sizes = random_flows(7, count=500, key_bits=32, max_size=max_size)
+        # A flow seen again, and empty and negative sizes, which insert nothing.
+        ids += ids[:25]
+        sizes += sizes[:25]
+        sizes[::31] = [0] * len(sizes[::31])
+        sizes[5::43] = [-3] * len(sizes[5::43])
+
+        def build():
+            return TowerFermat(levels, fermat_buckets=600, threshold=threshold, seed=3)
+
+        expected = build()
         for flow_id, size in zip(ids, sizes):
-            scalar.insert(flow_id, size)
+            promoted = tower_fermat_walk(expected.tower, flow_id, size, threshold)
+            if promoted:
+                expected.fermat.insert(flow_id, promoted)
+        one_by_one = build()
+        for flow_id, size in zip(ids, sizes):
+            one_by_one.insert(flow_id, size)
+        batched = build()
         batched.insert_batch(ids, sizes)
-        for level in range(2):
-            assert np.array_equal(
-                scalar.tower.counter_array(level), batched.tower.counter_array(level)
-            )
-        assert scalar.flowset() == batched.flowset()
-        for flow_id in ids[:50]:
-            assert scalar.query(flow_id) == batched.query(flow_id)
+        for got in (one_by_one, batched):
+            for level in range(len(levels)):
+                assert np.array_equal(
+                    expected.tower.counter_array(level), got.tower.counter_array(level)
+                )
+            for i in range(expected.fermat.num_arrays):
+                assert (expected.fermat._counts[i] == got.fermat._counts[i]).all()
+                assert expected.fermat._idsums[i].tolist() == got.fermat._idsums[i].tolist()
+            assert got.flowset() == expected.flowset()
 
 
 def walk_and_classify(resources, seed, config, ids, sizes, num_switches, owner_seed):
@@ -255,16 +283,16 @@ class TestClassifierBatch:
         assert_same_counters(walked, batched)
 
 
-class TestClassifierSaturationAndGenericPaths:
+class TestClassifierSaturation:
     @pytest.mark.parametrize("num_switches", [1, 4])
     @pytest.mark.parametrize(
         "levels",
         [((4, 32), (6, 16)), ((4, 32),), ((4, 64), (6, 32), (8, 16))],
     )
     def test_saturation_heavy_batches_match_scalar(self, levels, num_switches):
-        # Tiny, narrow counters force constant saturation crossings, which
-        # exercises the vectorized classifier's sequential fallback (2 levels)
-        # and the generic non-2-level walk.
+        # Tiny, narrow counters saturate mid-flow all the time, on one, two
+        # and three levels.  With one level, T_h = 20 lies above its
+        # saturation 15: a saturated flow's estimate is stuck below T_h.
         resources = SwitchResources(
             upstream_buckets=48,
             downstream_buckets=36,
