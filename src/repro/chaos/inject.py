@@ -339,10 +339,10 @@ class FaultInjector:
     def sink_hook(self, target: str = "records") -> Callable[[Dict[str, Any]], None]:
         """A ``fault_hook`` for the file sinks: raises ``OSError`` when armed.
 
-        Installed on :class:`~repro.stream.sinks.JsonlSink` /
-        :class:`~repro.stream.sinks.CsvSink` (and the alert sinks' inner
-        JSONL sink); the hook runs before the write, so a retried write
-        lands the record exactly once.
+        Installed on the :class:`~repro.stream.sinks.JsonlSink` /
+        :class:`~repro.stream.sinks.CsvSink` record sinks (``target``
+        ``"records"``) and JSONL alert feeds (``"alerts"``); the hook runs
+        before the write, so a retried write lands the record exactly once.
         """
 
         def hook(record: Dict[str, Any]) -> None:
@@ -364,7 +364,7 @@ class FaultInjector:
         hook = self.sink_hook(target)
         installed = 0
         for sink in sinks:
-            inner = getattr(sink, "_sink", sink)  # JsonlAlertSink wraps a JsonlSink
+            inner = getattr(sink, "_sink", sink)  # a ResilientSink wraps a file sink
             if hasattr(inner, "fault_hook"):
                 inner.fault_hook = hook
                 installed += 1

@@ -255,17 +255,18 @@ def cmd_run(args: argparse.Namespace) -> int:
             value = getattr(args, knob)
             if value is not None and knob in spec.params and knob not in overrides:
                 overrides[knob] = value
-        jobs = args.jobs or 1
-        # Stdout streams emit rows as each sweep point completes; files and
-        # tables still come from the collected SweepResult afterwards.
-        streamer = None
-        if args.json_out == "-":
-            streamer = _JsonRowStream(
-                spec.name, spec.merged_params(overrides), spec.point_seed(args.seed, 0), jobs
-            )
-        elif args.csv_out == "-":
-            streamer = _CsvRowStream()
-        with SweepRunner(jobs=jobs) as runner:
+        # The runner validates --jobs before a stdout stream writes anything.
+        with SweepRunner(jobs=args.jobs) as runner:
+            # Stdout streams emit rows as each sweep point completes; files
+            # and tables still come from the collected SweepResult afterwards.
+            streamer = None
+            if args.json_out == "-":
+                streamer = _JsonRowStream(
+                    spec.name, spec.merged_params(overrides),
+                    spec.point_seed(args.seed, 0), args.jobs,
+                )
+            elif args.csv_out == "-":
+                streamer = _CsvRowStream()
             result = runner.run(
                 spec,
                 overrides=overrides,
@@ -397,10 +398,10 @@ def _build_alert_engine(args: argparse.Namespace):
         ConsoleAlertSink,
         DecodeFailureStreak,
         EpochLatencySlo,
-        JsonlAlertSink,
         RollingAreCeiling,
         RollingF1Floor,
     )
+    from .stream import JsonlSink
 
     rules = []
     if args.alert_f1_floor is not None:
@@ -415,7 +416,7 @@ def _build_alert_engine(args: argparse.Namespace):
         return None
     sinks = []
     if args.alerts_out:
-        sinks.append(JsonlAlertSink(args.alerts_out))
+        sinks.append(JsonlSink(args.alerts_out))
     if not args.quiet:
         sinks.append(ConsoleAlertSink())
     return AlertEngine(rules, sinks=sinks)
@@ -450,6 +451,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return 2
     if args.resume and not args.checkpoint:
         print("error: --resume needs --checkpoint PATH", file=sys.stderr)
+        return 2
+    if args.epochs is not None and args.epochs < 0:
+        print("error: --epochs must be >= 0", file=sys.stderr)
         return 2
     seed = args.seed if args.seed is not None else 0
 

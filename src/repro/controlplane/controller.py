@@ -106,7 +106,6 @@ class CentralController:
         low_load: float = 0.60,
         distribution_iterations: int = 4,
         seed: int = 0,
-        history_limit: Optional[int] = None,
     ) -> None:
         self.resources = resources or SwitchResources()
         self.heavy_hitter_threshold = heavy_hitter_threshold
@@ -116,10 +115,6 @@ class CentralController:
         self.distribution_iterations = distribution_iterations
         self._rng = random.Random(seed)
         self._epoch_index = 0
-        #: ``None`` keeps every EpochReport (batch experiments); an integer
-        #: keeps only the most recent N, so a continuous run stays O(epoch).
-        self.history_limit = history_limit
-        self.history: list[EpochReport] = []
 
     @property
     def level(self) -> NetworkLevel:
@@ -188,9 +183,6 @@ class CentralController:
                 report.cardinality = snapshot.total_flows_estimate
                 report.entropy = distribution_entropy(distribution)
         self._epoch_index += 1
-        self.history.append(report)
-        if self.history_limit is not None and len(self.history) > self.history_limit:
-            del self.history[: len(self.history) - self.history_limit]
         return report
 
     # ------------------------------------------------------------------ #
@@ -199,10 +191,9 @@ class CentralController:
     def snapshot_state(self) -> Dict:
         """The controller state a service checkpoint must capture.
 
-        ``history`` is observability, not input — no future decision reads
-        it — so only the epoch counter, the attention level, and the sampling
-        RNG (consumed by victim-population estimation when ``sample_rate``
-        drops below 1) are serialized.
+        Only the epoch counter, the attention level, and the sampling RNG
+        (consumed by victim-population estimation when ``sample_rate`` drops
+        below 1) are serialized.
         """
         version, internal, gauss = self._rng.getstate()
         return {

@@ -97,7 +97,6 @@ class ChameleMon:
             heavy_hitter_threshold=self.heavy_hitter_threshold,
             distribution_iterations=self.distribution_iterations,
             seed=self.seed,
-            history_limit=self.history_limit,
         )
         self.results: List[EpochResult] = []
         self._epochs_run = 0

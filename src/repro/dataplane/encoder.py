@@ -24,7 +24,6 @@ import numpy as np
 from ..sketches.fermat import MERSENNE_PRIME_127, FermatSketch, insert_scattered
 from ..sketches.hashing import KeyArray
 from .config import EncoderLayout, SwitchResources
-from .hierarchy import FlowHierarchy
 
 #: Seed offsets so that the three encoder parts use independent hash functions
 #: while remaining identical across switches (required for add/subtract).
@@ -88,21 +87,6 @@ class UpstreamFlowEncoder:
     def memory_bytes(self) -> int:
         return self.parts.memory_bytes()
 
-    def encode(self, flow_id: int, count: int, hierarchy: FlowHierarchy) -> None:
-        """Encode ``count`` packets of a flow according to its hierarchy."""
-        if count <= 0 or not hierarchy.encoded_upstream:
-            return
-        if hierarchy is FlowHierarchy.HH_CANDIDATE:
-            part = self.parts.hh
-        elif hierarchy is FlowHierarchy.HL_CANDIDATE:
-            part = self.parts.hl
-        else:
-            part = self.parts.ll
-        if part is None:
-            # A hierarchy with no allocated encoder: the packet is not recorded.
-            return
-        part.insert(flow_id, count)
-
 
 class DownstreamFlowEncoder:
     """The egress-side flow encoder (HL + LL parts; HH packets use the HL part)."""
@@ -125,22 +109,6 @@ class DownstreamFlowEncoder:
 
     def memory_bytes(self) -> int:
         return self.parts.memory_bytes()
-
-    def encode(self, flow_id: int, count: int, hierarchy: FlowHierarchy) -> None:
-        if count <= 0 or not hierarchy.encoded_downstream:
-            return
-        if hierarchy in (FlowHierarchy.HH_CANDIDATE, FlowHierarchy.HL_CANDIDATE):
-            part = self.parts.hl
-        else:
-            part = self.parts.ll
-        if part is None:
-            return
-        part.insert(flow_id, count)
-
-
-def empty_like_part(part: Optional[FermatSketch]) -> Optional[FermatSketch]:
-    """An empty FermatSketch structurally compatible with ``part`` (or None)."""
-    return None if part is None else part.empty_like()
 
 
 def accumulate_parts(parts: list[Optional[FermatSketch]]) -> Optional[FermatSketch]:

@@ -23,17 +23,3 @@ class FlowHierarchy(enum.Enum):
     HL_CANDIDATE = "hl"
     SAMPLED_LL = "sampled_ll"
     NON_SAMPLED_LL = "non_sampled_ll"
-
-    @property
-    def is_ll(self) -> bool:
-        return self in (FlowHierarchy.SAMPLED_LL, FlowHierarchy.NON_SAMPLED_LL)
-
-    @property
-    def encoded_upstream(self) -> bool:
-        """Whether packets of this hierarchy are encoded by the upstream encoder."""
-        return self is not FlowHierarchy.NON_SAMPLED_LL
-
-    @property
-    def encoded_downstream(self) -> bool:
-        """Whether packets of this hierarchy are encoded by the downstream encoder."""
-        return self is not FlowHierarchy.NON_SAMPLED_LL

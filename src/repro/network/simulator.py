@@ -432,10 +432,6 @@ class NetworkSimulator:
         rng = state["rng"]
         self._rng.setstate((rng["version"], tuple(rng["state"]), rng["gauss"]))
 
-    def rotate_all(self) -> Dict[NodeId, "object"]:
-        """Rotate every edge switch to a new epoch; return the finished groups."""
-        return {node: switch.rotate_epoch() for node, switch in self.switches.items()}
-
 
 def build_testbed_simulator(
     resources=None,

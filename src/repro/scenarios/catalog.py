@@ -970,7 +970,6 @@ def serve_churn_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     from ..dataplane.config import SwitchResources
     from ..service import (
         AlertEngine,
-        MemoryAlertSink,
         RollingF1Floor,
         TelemetryService,
         compile_state_diffs,
@@ -1015,13 +1014,13 @@ def serve_churn_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         checkpoint = os.path.join(tmp, "serve_churn.rtck")
         # The uninterrupted reference run (no checkpointing).
         reference_sink = MemorySink()
-        engine, alerts = build(reference_sink, MemoryAlertSink())
+        engine, alerts = build(reference_sink, MemorySink())
         TelemetryService(engine, alert_engine=alerts).run(
             max_epochs=params["epochs"]
         )
         # The service run: stop at the interrupt point, then resume.
         part_sink, resume_sink = MemorySink(), MemorySink()
-        part_alerts, resume_alerts = MemoryAlertSink(), MemoryAlertSink()
+        part_alerts, resume_alerts = MemorySink(), MemorySink()
         engine, alerts = build(part_sink, part_alerts)
         TelemetryService(
             engine,
@@ -1041,12 +1040,11 @@ def serve_churn_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     identical = [comparable(r) for r in combined] == [
         comparable(r) for r in reference_sink.records
     ]
-    transitions = [a.to_dict() for a in part_alerts.alerts + resume_alerts.alerts]
     output = _stream_output(combined, summary)
     output["extras"]["resume_identical"] = identical
     output["extras"]["interrupt_epoch"] = params["interrupt_epoch"]
     output["extras"]["state_diffs"] = [diff.to_dict() for diff in diffs]
-    output["extras"]["alerts"] = transitions
+    output["extras"]["alerts"] = part_alerts.records + resume_alerts.records
     return output
 
 

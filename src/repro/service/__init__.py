@@ -7,7 +7,9 @@ Four pieces promote the bounded streaming loop to a durable service:
 * :mod:`~repro.service.checkpoint` — the versioned ``.rtck`` snapshot format
   (binary blobs + JSON manifest, written atomically);
 * :mod:`~repro.service.alerts` — declarative threshold rules with
-  firing/clearing state and the alert-sink layer;
+  firing/clearing state; each transition is written as a dict to ordinary
+  record sinks (:mod:`repro.stream.sinks`), plus a console and a callback
+  sink for alerts;
 * :mod:`~repro.service.netstate` — the JSONL/YANG-flavored device state-diff
   schema and its compiler into engine event schedules.
 """
@@ -16,14 +18,10 @@ from .alerts import (
     Alert,
     AlertEngine,
     AlertRule,
-    AlertSink,
     CallbackAlertSink,
     ConsoleAlertSink,
     DecodeFailureStreak,
     EpochLatencySlo,
-    JsonlAlertSink,
-    MemoryAlertSink,
-    ResilientAlertSink,
     RollingAreCeiling,
     RollingF1Floor,
 )
@@ -51,7 +49,6 @@ __all__ = [
     "Alert",
     "AlertEngine",
     "AlertRule",
-    "AlertSink",
     "CallbackAlertSink",
     "CHECKPOINT_EXTENSION",
     "CheckpointError",
@@ -62,13 +59,10 @@ __all__ = [
     "EpochLatencySlo",
     "FABRIC_DEVICE",
     "inspect_checkpoint",
-    "JsonlAlertSink",
-    "MemoryAlertSink",
     "NetworkStateError",
     "parse_device",
     "read_checkpoint",
     "read_state_diffs",
-    "ResilientAlertSink",
     "RollingAreCeiling",
     "RollingF1Floor",
     "StateDiff",

@@ -3,8 +3,12 @@
 An :class:`AlertEngine` evaluates a set of :class:`AlertRule` objects against
 every epoch record the streaming engine produces and tracks firing/clearing
 state per rule: an :class:`Alert` is emitted only on *transitions* (healthy →
-breached fires, breached → healthy clears), through the alert-sink layer
-(JSONL, console, callback, memory).
+breached fires, breached → healthy clears).  Each transition is written as its
+dict (:meth:`Alert.to_dict`) to ordinary record sinks
+(:class:`~repro.stream.sinks.EpochSink`): an alert feed is a ``JsonlSink`` or
+a ``MemorySink``, hardened by the service like any record sink, and
+:class:`ConsoleAlertSink` / :class:`CallbackAlertSink` render or forward the
+dict.
 
 Rules split into two classes.  *Deterministic* rules read only
 result-derived record fields (rolling F1, rolling ARE, decode failures), so
@@ -20,11 +24,10 @@ from __future__ import annotations
 
 import json
 import sys
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, IO, List, Optional, Sequence, Tuple
 
-from ..stream.sinks import JsonlSink
+from ..stream.sinks import EpochSink
 
 
 @dataclass(frozen=True)
@@ -114,6 +117,9 @@ class DecodeFailureStreak(AlertRule):
     name = "decode_failure_streak"
 
     def __init__(self, max_streak: int = 3) -> None:
+        if max_streak < 1:
+            # A streak of 0 would meet a threshold of 0 on a healthy stream.
+            raise ValueError("max_streak must be >= 1")
         super().__init__(max_streak)
 
     def evaluate(self, record, state):
@@ -146,169 +152,38 @@ class EpochLatencySlo(AlertRule):
 # --------------------------------------------------------------------------- #
 # alert sinks
 # --------------------------------------------------------------------------- #
-class AlertSink:
-    """Base alert sink: one :meth:`emit` per transition, then one :meth:`close`."""
-
-    def emit(self, alert: Alert) -> None:
-        raise NotImplementedError
-
-    def sync(self) -> None:
-        """Make everything emitted so far durable (fsync for file sinks)."""
-
-    def sink_state(self) -> Optional[Dict[str, Any]]:
-        return None
-
-    def close(self) -> None:
-        """Release resources; safe to call more than once."""
-
-
-class JsonlAlertSink(AlertSink):
-    """One JSON object per alert transition, crash-safe like the record sinks."""
-
-    def __init__(self, path: str) -> None:
-        self._sink = JsonlSink(path)
-        self.path = path
-
-    def emit(self, alert: Alert) -> None:
-        self._sink.write(alert.to_dict())
-
-    def sync(self) -> None:
-        self._sink.sync()
-
-    def truncate_to(self, offset: int) -> None:
-        self._sink.truncate_to(offset)
-
-    def sink_state(self) -> Optional[Dict[str, Any]]:
-        state = self._sink.sink_state()
-        if state is not None:
-            state["kind"] = "alerts_jsonl"
-        return state
-
-    def close(self) -> None:
-        self._sink.close()
-
-
-class ConsoleAlertSink(AlertSink):
+class ConsoleAlertSink(EpochSink):
     """One human-readable line per transition (stderr by default, tail-able)."""
 
     def __init__(self, handle: Optional[IO[str]] = None) -> None:
         self._handle = handle or sys.stderr
 
-    def emit(self, alert: Alert) -> None:
-        marker = "ALERT" if alert.status == "firing" else "clear"
+    def write(self, record: Dict[str, Any]) -> None:
+        marker = "ALERT" if record["status"] == "firing" else "clear"
         self._handle.write(
-            f"[{marker}] epoch {alert.epoch:>4}  {alert.rule}: value "
-            f"{alert.value:.4g} vs threshold {alert.threshold:.4g}\n"
+            f"[{marker}] epoch {record['epoch']:>4}  {record['rule']}: value "
+            f"{record['value']:.4g} vs threshold {record['threshold']:.4g}\n"
         )
         self._handle.flush()
 
 
-class CallbackAlertSink(AlertSink):
-    """Deliver each transition to a user callback (pager/webhook integration)."""
+class CallbackAlertSink(EpochSink):
+    """Deliver each transition dict to a user callback (pager/webhook integration)."""
 
-    def __init__(self, callback: Callable[[Alert], None]) -> None:
+    def __init__(self, callback: Callable[[Dict[str, Any]], None]) -> None:
         self._callback = callback
 
-    def emit(self, alert: Alert) -> None:
-        self._callback(alert)
-
-
-class MemoryAlertSink(AlertSink):
-    """Keep every transition in memory (tests and scenarios)."""
-
-    def __init__(self) -> None:
-        self.alerts: List[Alert] = []
-
-    def emit(self, alert: Alert) -> None:
-        self.alerts.append(alert)
-
-
-class ResilientAlertSink(AlertSink):
-    """Retry/backoff wrapper hardening an alert sink against transient I/O.
-
-    The alert twin of :class:`repro.stream.sinks.ResilientSink`: ``OSError``
-    from :meth:`emit` is retried per the
-    :class:`~repro.chaos.RetryPolicy` with deterministically jittered
-    sleeps; an exhausted fail-open emit drops the transition with a counted
-    warning.  Checkpoint hooks delegate, so wrapping is resume-transparent.
-    """
-
-    def __init__(
-        self,
-        inner: AlertSink,
-        policy: Optional[Any] = None,
-        seed: int = 0,
-        monitor: Optional[Any] = None,
-        warn: Optional[Callable[[str], None]] = None,
-    ) -> None:
-        from ..chaos import RetryPolicy
-
-        self.inner = inner
-        self.policy = policy if policy is not None else RetryPolicy()
-        self.seed = seed
-        self.monitor = monitor
-        self._warn = warn if warn is not None else (
-            lambda message: print(message, file=sys.stderr)
-        )
-
-    # FaultInjector.install_sinks reaches the file sink through ``_sink``.
-    @property
-    def _sink(self) -> Any:
-        return getattr(self.inner, "_sink", self.inner)
-
-    @property
-    def path(self) -> Optional[str]:
-        return getattr(self.inner, "path", None)
-
-    def emit(self, alert: Alert) -> None:
-        attempt = 0
-        while True:
-            try:
-                self.inner.emit(alert)
-            except OSError as error:
-                if attempt >= self.policy.retries:
-                    if not self.policy.fail_open:
-                        raise
-                    if self.monitor is not None:
-                        self.monitor.sink_drop()
-                    self._warn(
-                        f"repro.alerts: dropped {alert.tag} at epoch "
-                        f"{alert.epoch} after {attempt + 1} attempts: {error}"
-                    )
-                    return
-                if self.monitor is not None:
-                    self.monitor.sink_retry()
-                delay = self.policy.backoff_delay(
-                    self.seed, "alerts", alert.epoch, attempt
-                )
-                if delay > 0:
-                    time.sleep(delay)
-                attempt += 1
-            else:
-                if attempt and self.monitor is not None:
-                    self.monitor.recovery("alert_sink")
-                return
-
-    def sync(self) -> None:
-        self.inner.sync()
-
-    def truncate_to(self, offset: int) -> None:
-        self.inner.truncate_to(offset)
-
-    def sink_state(self) -> Optional[Dict[str, Any]]:
-        return self.inner.sink_state()
-
-    def close(self) -> None:
-        self.inner.close()
+    def write(self, record: Dict[str, Any]) -> None:
+        self._callback(record)
 
 
 # --------------------------------------------------------------------------- #
 # the engine
 # --------------------------------------------------------------------------- #
 class AlertEngine:
-    """Evaluate rules per epoch, track firing state, emit transitions."""
+    """Evaluate rules per epoch, track firing state, write transitions to sinks."""
 
-    def __init__(self, rules: Sequence[AlertRule], sinks: Sequence[AlertSink] = ()) -> None:
+    def __init__(self, rules: Sequence[AlertRule], sinks: Sequence[EpochSink] = ()) -> None:
         names = [rule.name for rule in rules]
         if len(set(names)) != len(names):
             raise ValueError(f"alert rule names must be unique, got {names}")
@@ -341,8 +216,9 @@ class AlertEngine:
                 )
             )
         for alert in alerts:
+            transition = alert.to_dict()
             for sink in self.sinks:
-                sink.emit(alert)
+                sink.write(transition)
         return alerts
 
     def firing(self) -> List[str]:
@@ -357,10 +233,6 @@ class AlertEngine:
         for name in self._states:
             if name in state:
                 self._states[name] = dict(state[name])
-
-    def sync(self) -> None:
-        for sink in self.sinks:
-            sink.sync()
 
     def close(self) -> None:
         for sink in self.sinks:

@@ -13,7 +13,8 @@ with the three things a durable deployment needs on top of the bounded loop:
 * **Alerting** — an :class:`~repro.service.alerts.AlertEngine` evaluates its
   rules against every record before the sinks see it; deterministic
   transitions are annotated into the record's ``alerts`` field (part of the
-  reproducible stream), and all transitions flow to the alert sinks.
+  reproducible stream), and all transitions flow to the alert sinks — the
+  same record sinks, retry wrapper and checkpoint rewind as the records.
 * **Graceful lifecycle** — with ``handle_signals=True`` a SIGINT/SIGTERM
   requests a stop; the loop finishes the epoch in flight, writes a final
   checkpoint, and flushes and closes every sink.
@@ -30,8 +31,8 @@ from typing import Any, Dict, List, Optional
 from ..chaos import FaultInjector, RetryPolicy, chaos_key, corrupt_checkpoint
 from ..obs.exposition import MetricsServer
 from ..stream.engine import StreamingEngine, StreamSummary
-from ..stream.sinks import ResilientSink
-from .alerts import AlertEngine, ResilientAlertSink
+from ..stream.sinks import EpochSink, ResilientSink
+from .alerts import AlertEngine
 from .checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 
 
@@ -87,12 +88,12 @@ class TelemetryService:
         # Harden the durable outputs: every file-backed record/alert sink is
         # wrapped in a retry/backoff shell (OSError only; checkpoint hooks
         # delegate, so resume rewinds see straight through the wrapper).
-        engine.sinks = [self._wrap_sink(sink) for sink in engine.sinks]
+        engine.sinks = [self._wrap_sink(sink, "records") for sink in engine.sinks]
         if alert_engine is not None:
             if self.chaos is not None:
                 self.chaos.install_sinks(alert_engine.sinks, target="alerts")
             alert_engine.sinks = [
-                self._wrap_alert_sink(sink) for sink in alert_engine.sinks
+                self._wrap_sink(sink, "alerts") for sink in alert_engine.sinks
             ]
         #: The live exposition endpoint while :meth:`run` is active (tests
         #: read its bound port when ``metrics_port=0``).
@@ -110,20 +111,17 @@ class TelemetryService:
         self._epochs_since_checkpoint = 0
         self._checkpointed_epoch: Optional[int] = None
 
-    def _wrap_sink(self, sink: Any) -> Any:
-        inner = getattr(sink, "_sink", sink)
-        if isinstance(sink, ResilientSink) or not hasattr(inner, "fault_hook"):
+    def _wrap_sink(self, sink: EpochSink, site: str) -> EpochSink:
+        """Wrap a file sink in :class:`ResilientSink`; ``site`` keys its backoff.
+
+        Only file sinks carry a ``fault_hook``; memory, console and callback
+        sinks (and an already wrapped sink) pass through unchanged.
+        """
+        if not hasattr(sink, "fault_hook"):
             return sink
         return ResilientSink(
             sink, policy=self.retry, seed=self.engine.seed,
-            site="records", monitor=self.monitor,
-        )
-
-    def _wrap_alert_sink(self, sink: Any) -> Any:
-        if isinstance(sink, ResilientAlertSink) or not hasattr(sink, "_sink"):
-            return sink
-        return ResilientAlertSink(
-            sink, policy=self.retry, seed=self.engine.seed, monitor=self.monitor
+            site=site, monitor=self.monitor,
         )
 
     # ------------------------------------------------------------------ #
@@ -345,29 +343,34 @@ class TelemetryService:
                     f"{value!r} here"
                 )
 
-    def _sink_states(self) -> List[Dict[str, Any]]:
+    def _sinks(self) -> List[EpochSink]:
+        """The record sinks, then the alert sinks."""
         sinks = list(self.engine.sinks)
         if self.alert_engine is not None:
             sinks.extend(self.alert_engine.sinks)
+        return sinks
+
+    def _sink_states(self) -> List[Dict[str, Any]]:
         states = []
-        for sink in sinks:
+        for sink in self._sinks():
             state = sink.sink_state()
             if state is not None:
                 states.append(state)
         return states
 
     def _rewind_sinks(self, states: List[Dict[str, Any]]) -> None:
-        """Append-reopen every file sink at its checkpointed durable offset."""
-        sinks = list(self.engine.sinks)
-        if self.alert_engine is not None:
-            sinks.extend(self.alert_engine.sinks)
-        by_key = {}
-        for sink in sinks:
+        """Append-reopen every file sink at its checkpointed durable offset.
+
+        Stored states are matched by ``path`` alone: older checkpoints list
+        the alert feed with kind ``"alerts_jsonl"``, and it must rewind too.
+        """
+        by_path = {}
+        for sink in self._sinks():
             state = sink.sink_state()
             if state is not None:
-                by_key[(state["kind"], state["path"])] = sink
+                by_path[state["path"]] = sink
         for stored in states:
-            sink = by_key.get((stored["kind"], stored["path"]))
+            sink = by_path.get(stored["path"])
             if sink is None:
                 continue
             if stored.get("fieldnames") is not None:
@@ -379,10 +382,8 @@ class TelemetryService:
         """fsync the sinks, then atomically snapshot the full service state."""
         if not self.checkpoint_path:
             raise ValueError("this service has no checkpoint_path")
-        for sink in self.engine.sinks:
+        for sink in self._sinks():
             sink.sync()
-        if self.alert_engine is not None:
-            self.alert_engine.sync()
         loop = self.engine.loop_state()
         meta = self._spec_meta()
         # The one legitimate wall-clock timestamp: a manifest annotation for

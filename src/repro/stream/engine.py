@@ -45,7 +45,8 @@ from .sinks import EpochSink
 from .sources import TraceSource
 
 #: Engine state kept per epoch: the trace under analysis plus the one being
-#: generated.  Used both for the history caps and the resident-flow assertion.
+#: generated.  Used both for the facade's result cap and the resident-flow
+#: assertion.
 RESIDENT_EPOCHS = 2
 
 

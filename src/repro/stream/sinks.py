@@ -1,11 +1,14 @@
-"""Per-epoch report sinks: stream results out as they are produced.
+"""Record sinks: stream results out as they are produced.
 
-A sink receives one flat record dict per epoch (see
-:meth:`repro.stream.engine.StreamingEngine` for the fields) and must never
-buffer the run: file sinks write and flush each record immediately, so a
-long-lived stream's output is tail-able and the engine's memory stays
-O(epoch).  :class:`MemorySink` is the deliberate exception, used by tests,
-scenarios, and examples that want the records in process.
+A sink takes one flat record dict per write: either an epoch's record (see
+:meth:`repro.stream.engine.StreamingEngine` for the fields) or an alert
+transition (:meth:`repro.service.alerts.Alert.to_dict`), so the engine's
+records and the service's alert feed share these sinks, their retry wrapper
+and their checkpoint rewind.  A sink must never buffer the run: file sinks
+write and flush each record immediately, so a long-lived stream's output is
+tail-able and the engine's memory stays O(epoch).  :class:`MemorySink` is
+the deliberate exception, used by tests, scenarios, and examples that want
+the records in process.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from ..obs.identity import LATE_FIELDS
 
 
 class EpochSink:
-    """Base sink: one :meth:`write` per epoch, then one :meth:`close`."""
+    """Base sink: one :meth:`write` per record, then one :meth:`close`."""
 
     def write(self, record: Dict[str, Any]) -> None:
         raise NotImplementedError
@@ -225,9 +228,11 @@ class ResilientSink(EpochSink):
     with sleeps jittered from the deterministic chaos substream
     (:meth:`repro.chaos.RetryPolicy.backoff_delay` keyed on the record's
     epoch); with ``fail_open=True`` an exhausted write is dropped with a
-    counted warning instead of killing the service.  All checkpoint hooks
-    (sync/tell/truncate_to/sink_state) delegate to the wrapped sink, so a
-    resilient sink is checkpoint-transparent.
+    counted warning instead of killing the service.  ``site`` (``"records"``
+    or ``"alerts"``) keys the backoff substream and names the sink in that
+    warning.  All checkpoint hooks (sync/tell/truncate_to/sink_state)
+    delegate to the wrapped sink, so a resilient sink is
+    checkpoint-transparent.
     """
 
     def __init__(

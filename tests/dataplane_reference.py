@@ -18,7 +18,9 @@ oracle of ``TowerFermat.insert`` and ``insert_batch``
 ``reference_epoch`` is an oracle for a whole ``run_epoch``: it walks the
 trace flow by flow with ``classify_flow_packets`` at the ingress switch,
 draws losses with ``distribute_losses_uniform`` on ``loss_uniform``s, and
-encodes each segment with one scalar ``FermatSketch.insert``
+encodes each segment with ``encode_segment``: one scalar
+``FermatSketch.insert`` into the part ``UPSTREAM_PART`` or
+``DOWNSTREAM_PART`` routes its hierarchy to
 (``tests/test_dataplane_oracle.py``).  ``collect_dataplane_state`` reads the
 same shape back from a simulator that ran the epoch; the golden digests hash
 it too.
@@ -213,6 +215,31 @@ def collect_dataplane_state(simulator) -> Dict[Any, Dict[str, Any]]:
     return state
 
 
+#: The encoder part each hierarchy's packets go to on either side; a
+#: non-sampled LL segment is not encoded, and the downstream HL part takes
+#: the HH packets too.
+UPSTREAM_PART = {
+    FlowHierarchy.HH_CANDIDATE: "hh",
+    FlowHierarchy.HL_CANDIDATE: "hl",
+    FlowHierarchy.SAMPLED_LL: "ll",
+}
+DOWNSTREAM_PART = {
+    FlowHierarchy.HH_CANDIDATE: "hl",
+    FlowHierarchy.HL_CANDIDATE: "hl",
+    FlowHierarchy.SAMPLED_LL: "ll",
+}
+
+
+def encode_segment(parts, routes, flow_id: int, count: int, hierarchy: FlowHierarchy) -> None:
+    """Insert ``count`` packets of a flow into the part ``routes`` maps its
+    hierarchy to; an unrouted hierarchy, an unallocated part or an empty
+    segment records nothing."""
+    name = routes.get(hierarchy)
+    part = parts.part(name) if name else None
+    if part is not None and count > 0:
+        part.insert(flow_id, count)
+
+
 def reference_epoch(simulator, trace) -> Tuple[Dict[Any, Dict[str, Any]], Dict[str, Any]]:
     """What ``simulator.run_epoch(trace)`` must leave behind, one flow at a time.
 
@@ -240,16 +267,6 @@ def reference_epoch(simulator, trace) -> Tuple[Dict[Any, Dict[str, Any]], Dict[s
             ).parts,
             "stats": [0, 0, 0, {hierarchy.name: 0 for hierarchy in FlowHierarchy}],
         }
-    up_part = {
-        FlowHierarchy.HH_CANDIDATE: "hh",
-        FlowHierarchy.HL_CANDIDATE: "hl",
-        FlowHierarchy.SAMPLED_LL: "ll",
-    }
-    down_part = {
-        FlowHierarchy.HH_CANDIDATE: "hl",
-        FlowHierarchy.HL_CANDIDATE: "hl",
-        FlowHierarchy.SAMPLED_LL: "ll",
-    }
     truth = {"flow_sizes": {}, "losses": {}, "per_switch_flows": {}}
     for position, flow in enumerate(trace.flows):
         flow_id, size = int(flow.flow_id), int(flow.size)
@@ -270,20 +287,14 @@ def reference_epoch(simulator, trace) -> Tuple[Dict[Any, Dict[str, Any]], Dict[s
             stats[2] += 1
         for hierarchy, count in segments:
             stats[3][hierarchy.name] += count
-            name = up_part.get(hierarchy)
-            part = plane["upstream"].part(name) if name else None
-            if part is not None:
-                part.insert(flow_id, count)
+            encode_segment(plane["upstream"], UPSTREAM_PART, flow_id, count, hierarchy)
         if lost > 0:
             uniforms = [loss_uniform(key, position, slot) for slot in range(MAX_LOSS_SEGMENTS)]
             segments = distribute_losses_uniform(segments, lost, uniforms)
         plane = planes[egress]
         plane["stats"][1] += sum(count for _, count in segments)
         for hierarchy, count in segments:
-            name = down_part.get(hierarchy)
-            part = plane["downstream"].part(name) if name else None
-            if part is not None and count > 0:
-                part.insert(flow_id, count)
+            encode_segment(plane["downstream"], DOWNSTREAM_PART, flow_id, count, hierarchy)
     state = {}
     for node in sorted(planes, key=str):
         plane = planes[node]

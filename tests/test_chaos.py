@@ -32,8 +32,11 @@ from repro.dataplane.config import SwitchResources
 from repro.network.simulator import mix64
 from repro.obs import MetricsRegistry, prometheus_text
 from repro.service import (
+    AlertEngine,
     CheckpointError,
     NetworkStateError,
+    RollingAreCeiling,
+    RollingF1Floor,
     StateDiff,
     TelemetryService,
     read_checkpoint,
@@ -560,6 +563,31 @@ class TestServiceChaos:
         assert chaos.monitor.sink_retries == 1
         assert chaos.monitor.recoveries == {"sink": 1}
         assert jsonl_records(out) == jsonl_records(ref)
+
+    def test_alert_sink_fault_is_retried_exactly_once_through_service(self, tmp_path):
+        # The alert feed is a plain JsonlSink: the service wraps it in the
+        # same ResilientSink as the records and counts the same site.
+        path = str(tmp_path / "alerts.jsonl")
+        chaos = injector({"faults": [
+            {"kind": "sink_flush_error", "target": "alerts"},
+        ]})
+        transitions = MemorySink()
+        alerts = AlertEngine(
+            [RollingF1Floor(2.0), RollingAreCeiling(-1.0, warmup=2)],
+            sinks=[JsonlSink(path), transitions],
+        )
+        service = TelemetryService(
+            make_engine(36, sinks=[MemorySink()], epochs=4, chaos=chaos),
+            alert_engine=alerts, retry=fast_retry(),
+        )
+        service.run()
+        assert [(t["epoch"], t["rule"]) for t in transitions.records] == [
+            (0, "rolling_f1_floor"), (2, "rolling_are_ceiling"),
+        ]
+        with open(path) as handle:
+            assert [json.loads(line) for line in handle] == transitions.records
+        assert chaos.monitor.sink_retries == 1
+        assert chaos.monitor.recoveries == {"sink": 1}
 
     def test_serve_chaos_scenario_verdict(self):
         from repro.scenarios import get_scenario

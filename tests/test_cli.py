@@ -135,6 +135,15 @@ class TestRegistryCommands:
         assert main(["run", scenario, "--set", override, "--quiet"]) == 2
         assert f"error: {message}" in capsys.readouterr().err
 
+    def test_run_rejects_zero_jobs(self, capsys):
+        assert main([
+            "run", "fig4", "--set", "flows=100", "--set", "victims=10",
+            "--set", "trials=1", "--jobs", "0", "--json", "-",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert "error: jobs must be >= 1" in captured.err
+        assert captured.out == ""
+
     def test_global_seed_before_subcommand(self, capsys):
         assert main([
             "--seed", "11", "run", "fig4", "--set", "flows=150",
@@ -406,6 +415,8 @@ class TestServeCommand:
         ("--scale", "0", "scale"),
         ("--loss-rate", "3", "loss_rate must be in [0, 1]"),
         ("--phases", "100:1.5:2", "bad --phases value '100:1.5:2': victim_ratio"),
+        ("--epochs", "-2", "--epochs must be >= 0"),
+        ("--alert-decode-streak", "0", "max_streak must be >= 1"),
     ])
     def test_serve_rejects_invalid_values(self, capsys, flag, value, name):
         assert main(["serve", "--phases", "50:0.0:1", "--quiet", flag, value]) == 2

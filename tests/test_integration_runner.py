@@ -143,7 +143,6 @@ class TestRunHelpers:
         system.run_epoch(trace_for(system, 100, 0.0, seed=400))
         system.run_epoch(trace_for(system, 100, 0.0, seed=401))
         assert len(system.results) == 2
-        assert len(system.controller.history) == 2
 
     def test_tasks_computed_when_enabled(self):
         system = make_system(seed=13, compute_tasks=True)

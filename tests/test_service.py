@@ -1,5 +1,6 @@
 """Tests for repro.service: checkpoints, alerts, state diffs, the service."""
 
+import io
 import json
 import os
 import signal
@@ -15,10 +16,9 @@ from repro.service import (
     AlertEngine,
     CallbackAlertSink,
     CheckpointError,
+    ConsoleAlertSink,
     DecodeFailureStreak,
     EpochLatencySlo,
-    JsonlAlertSink,
-    MemoryAlertSink,
     NetworkStateError,
     RollingAreCeiling,
     RollingF1Floor,
@@ -274,7 +274,7 @@ def record_for(epoch, f1=1.0, are=0.0, decode_failures=0, wall_ms=1.0):
 
 class TestAlertEngine:
     def test_transitions_only(self):
-        sink = MemoryAlertSink()
+        sink = MemorySink()
         engine = AlertEngine([RollingF1Floor(0.9)], sinks=[sink])
         assert engine.observe(record_for(0, f1=0.95)) == []
         fired = engine.observe(record_for(1, f1=0.5))
@@ -282,7 +282,7 @@ class TestAlertEngine:
         assert engine.observe(record_for(2, f1=0.5)) == []  # still breached
         cleared = engine.observe(record_for(3, f1=0.95))
         assert [a.tag for a in cleared] == ["rolling_f1_floor:cleared"]
-        assert [a.status for a in sink.alerts] == ["firing", "cleared"]
+        assert [a["status"] for a in sink.records] == ["firing", "cleared"]
         assert engine.firing() == []
 
     def test_warmup_suppresses_early_epochs(self):
@@ -329,15 +329,26 @@ class TestAlertEngine:
     def test_callback_and_jsonl_sinks(self, tmp_path):
         seen = []
         path = str(tmp_path / "alerts.jsonl")
-        jsonl = JsonlAlertSink(path)
         engine = AlertEngine(
-            [RollingF1Floor(0.9)], sinks=[CallbackAlertSink(seen.append), jsonl]
+            [RollingF1Floor(0.9)],
+            sinks=[CallbackAlertSink(seen.append), JsonlSink(path)],
         )
-        engine.observe(record_for(0, f1=0.1))
+        fired = engine.observe(record_for(0, f1=0.1))
         engine.close()
-        assert [a.tag for a in seen] == ["rolling_f1_floor:firing"]
-        lines = [json.loads(l) for l in open(path)]
-        assert lines == [seen[0].to_dict()]
+        assert seen == [fired[0].to_dict()]
+        # One json.dumps(alert.to_dict()) line per transition.
+        with open(path) as handle:
+            assert handle.read() == json.dumps(fired[0].to_dict()) + "\n"
+
+    def test_console_sink_renders_the_transition(self):
+        handle = io.StringIO()
+        engine = AlertEngine([RollingF1Floor(0.9)], sinks=[ConsoleAlertSink(handle)])
+        engine.observe(record_for(3, f1=0.25))
+        engine.observe(record_for(4, f1=0.95))
+        assert handle.getvalue().splitlines() == [
+            "[ALERT] epoch    3  rolling_f1_floor: value 0.25 vs threshold 0.9",
+            "[clear] epoch    4  rolling_f1_floor: value 0.95 vs threshold 0.9",
+        ]
 
 
 # --------------------------------------------------------------------------- #
@@ -405,7 +416,7 @@ class TestCrashSafeSinks:
 def run_service(seed, tmp_path, *, stop_at=None, resume=False, epochs=8,
                 interval=2, tag=""):
     sink = MemorySink()
-    alert_sink = MemoryAlertSink()
+    alert_sink = MemorySink()
     engine = make_engine(seed, sinks=[sink], epochs=epochs)
     alerts = AlertEngine(
         [RollingF1Floor(0.9, warmup=1), DecodeFailureStreak(2)],
@@ -418,7 +429,7 @@ def run_service(seed, tmp_path, *, stop_at=None, resume=False, epochs=8,
         checkpoint_interval=interval,
     )
     service.run(max_epochs=stop_at, resume=resume)
-    return sink.records, alert_sink.alerts, engine
+    return sink.records, alert_sink.records, engine
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
@@ -431,6 +442,42 @@ def test_resume_is_bit_identical(seed, tmp_path):
     # Wide five-tuple flow IDs really are in play (>64-bit checkpoint edge).
     trace = next(iter(engine.source))
     assert max(flow.flow_id for flow in trace.flows).bit_length() > 64
+
+
+def test_resume_rewinds_alert_feed_listed_with_the_old_kind(tmp_path):
+    # Checkpoints written while the alert feed had its own sink class list
+    # it with kind "alerts_jsonl"; a resume must still rewind the file (it
+    # is matched by path), or the first later transition would reopen it
+    # with mode "w" and drop the epoch-0 transition.
+    def run(feed, checkpoint, stop_at=None, resume=False):
+        alerts = AlertEngine(
+            [RollingF1Floor(2.0), RollingAreCeiling(-1.0, warmup=6)],
+            sinks=[JsonlSink(feed)],
+        )
+        TelemetryService(
+            make_engine(11, sinks=[MemorySink()]),
+            alert_engine=alerts,
+            checkpoint_path=checkpoint,
+            checkpoint_interval=2,
+        ).run(max_epochs=stop_at, resume=resume)
+
+    full = str(tmp_path / "full_alerts.jsonl")
+    run(full, str(tmp_path / "full.rtck"))
+    feed, checkpoint = str(tmp_path / "alerts.jsonl"), str(tmp_path / "svc.rtck")
+    run(feed, checkpoint, stop_at=4)
+    state = read_checkpoint(checkpoint)
+    (entry,) = [sink for sink in state["sinks"] if sink["path"] == feed]
+    assert entry["kind"] == "jsonl"
+    entry["kind"] = "alerts_jsonl"
+    write_checkpoint(checkpoint, state)
+    run(feed, checkpoint, resume=True)
+    with open(full) as handle:
+        expected = [json.loads(line) for line in handle]
+    assert [(a["epoch"], a["rule"]) for a in expected] == [
+        (0, "rolling_f1_floor"), (6, "rolling_are_ceiling"),
+    ]
+    with open(feed) as handle:
+        assert [json.loads(line) for line in handle] == expected
 
 
 def test_resume_mid_fault_schedule_snapshot(tmp_path):

@@ -319,10 +319,9 @@ class TestStreamingEngine:
         summary = engine.run()
         assert summary.epochs == 50
         # O(epoch), not O(run): at most ~2 epochs of flows ever resident,
-        # and the facade/controller histories stay capped.
+        # and the facade's result history stays capped.
         assert summary.peak_resident_flows <= 2 * flows
         assert len(engine.system.results) <= 2
-        assert len(engine.system.controller.history) <= 2
 
     def test_summary_totals_and_rates(self):
         sink = MemorySink()
