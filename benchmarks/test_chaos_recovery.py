@@ -19,6 +19,8 @@ import time
 import conftest
 from conftest import print_table
 
+from repro.scenarios.results import RunResult
+
 CORES = os.cpu_count() or 1
 
 ARTIFACT_PATH = os.path.join(
@@ -91,19 +93,17 @@ def test_chaos_recovery_latency_and_artifact(tmp_path):
         [["checkpoint-fallback resume", f"{resume_seconds:.2f}"]],
     )
 
-    artifact = {
-        "scenario": "chaos_recovery",
-        "params": {"flows": flows, "epochs": EPOCHS,
-                   "interrupt_epoch": INTERRUPT_EPOCH, "seed": SEED},
-        "rows": [
+    RunResult(
+        scenario="chaos_recovery",
+        params={"flows": flows, "epochs": EPOCHS, "interrupt_epoch": INTERRUPT_EPOCH},
+        seed=SEED,
+        rows=[
             {"leg": "checkpoint_corruption",
              "resume_wall_seconds": resume_seconds,
              "recoveries": dict(resume_service.monitor.recoveries),
              "quarantined": [checkpoint + ".bad"],
              "stream_identical": True},
         ],
-        "extras": {"cores": CORES, "repro_scale": conftest.SCALE},
-    }
-    with open(ARTIFACT_PATH, "w") as handle:
-        json.dump(artifact, handle, indent=2, sort_keys=True)
+        extras={"cores": CORES, "repro_scale": conftest.SCALE},
+    ).to_json(path=ARTIFACT_PATH)
     print(f"perf artifact written to {ARTIFACT_PATH}")

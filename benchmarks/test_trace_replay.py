@@ -9,13 +9,13 @@ Results are written to ``BENCH_trace_replay.json`` so replay throughput can
 be tracked across commits.
 """
 
-import json
 import os
 import time
 import tracemalloc
 
 import conftest
 
+from repro.scenarios.results import RunResult
 from repro.stream.sources import TraceFileSource, write_trace_file
 from repro.traffic.generator import generate_workload
 
@@ -102,21 +102,21 @@ def test_binary_replay_throughput_and_memory(tmp_path):
         ],
     )
 
-    result = {
-        "benchmark": "trace_replay",
-        "scale": conftest.SCALE,
-        "replay_epochs": epochs,
-        "flows_per_epoch": flows_per_epoch,
-        "jsonl_epochs_per_second": jsonl_eps,
-        "binary_epochs_per_second": binary_eps,
-        "binary_peak_heap_bytes": peak_bytes,
-        "binary_heap_bound_bytes": bound,
-        "binary_file_bytes": file_bytes,
-        "rss_mb": rss_mb,
-    }
-    with open(ARTIFACT_PATH, "w") as handle:
-        json.dump(result, handle, indent=2)
-        handle.write("\n")
+    RunResult(
+        scenario="trace_replay",
+        params={"replay_epochs": epochs, "flows_per_epoch": flows_per_epoch,
+                "repro_scale": conftest.SCALE},
+        # Epoch k's trace is drawn at seed k.
+        seed=0,
+        rows=[
+            {"format": "jsonl", "epochs_per_second": jsonl_eps,
+             "seconds": replay_jsonl_s},
+            {"format": "binary", "epochs_per_second": binary_eps,
+             "seconds": replay_binary_s, "peak_heap_bytes": peak_bytes,
+             "heap_bound_bytes": bound, "file_bytes": file_bytes},
+        ],
+        extras={"rss_mb": rss_mb},
+    ).to_json(path=ARTIFACT_PATH)
     print(f"perf artifact written to {ARTIFACT_PATH}")
 
     assert binary_eps > jsonl_eps, (

@@ -33,7 +33,7 @@ def main() -> None:
     )
     faulty_edge = topology.edge_switch_of_host(FAULTY_HOST)
     fault = LinkFailure(faulty_edge, topology.host(FAULTY_HOST), loss_rate=LOSS_RATE)
-    trace = apply_faults(base, topology, [fault], seed=5, router=system.simulator.router)
+    trace = apply_faults(base, topology, [fault], seed=5)
     print(f"injected fault: {LOSS_RATE:.0%} loss on link {faulty_edge} <-> host {FAULTY_HOST}")
     print(f"ground truth: {trace.num_victims()} victim flows, "
           f"{trace.total_losses()} lost packets\n")

@@ -28,6 +28,9 @@ Spec files (``repro.cli serve --chaos SPEC.json``)::
         {"kind": "metrics_bind_error"}
       ]
     }
+
+A ``sink_flush_error`` hits the record sinks unless it names
+``"target": "alerts"`` (a JSONL alert feed).
 """
 
 from __future__ import annotations
@@ -341,15 +344,17 @@ class FaultInjector:
 
         Installed on the :class:`~repro.stream.sinks.JsonlSink` /
         :class:`~repro.stream.sinks.CsvSink` record sinks (``target``
-        ``"records"``) and JSONL alert feeds (``"alerts"``); the hook runs
-        before the write, so a retried write lands the record exactly once.
+        ``"records"``) and JSONL alert feeds (``"alerts"``); a spec fires
+        only on the hook of its own ``"target"``, which defaults to
+        ``"records"``.  The hook runs before the write, so a retried write
+        lands the record exactly once.
         """
 
         def hook(record: Dict[str, Any]) -> None:
             spec = self.take(
                 "sink_flush_error",
                 record.get("epoch"),
-                where=lambda s: s.params.get("target", target) == target,
+                where=lambda s: s.params.get("target", "records") == target,
             )
             if spec is not None:
                 raise OSError(

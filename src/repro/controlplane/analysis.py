@@ -10,16 +10,21 @@ flow encoder (HL + LL parts).  This module implements the analysis pipeline:
    encoder, and subtract downstream from upstream;
 3. decode the delta HL/LL encoders to obtain the victim flows and their loss
    counts.
+
+The stages run under the caller's tracer as the spans ``hh_decode`` (step 1),
+``delta_build`` (step 2), ``hl_decode`` and ``ll_decode`` (step 3).  Nothing
+here reads a clock: what an epoch spent decoding is the sum of the three
+decode spans, which is how the streaming engine derives ``decode_ms``.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
 from ..dataplane.encoder import accumulate_parts
 from ..dataplane.switch import SketchGroup
+from ..obs.tracing import NULL_TRACER
 from ..sketches.base import DecodeResult
 from ..sketches.fermat import FermatSketch
 from ..sketches.linear_counting import estimate_flows_per_bucket_array
@@ -48,10 +53,6 @@ class LossReport:
     hl_flow_count_estimate: float = 0.0
     ll_flow_count_estimate: float = 0.0
     analysis_completed: bool = False
-    #: Wall-clock milliseconds spent in sketch decoding this epoch (HH
-    #: encoders plus the delta HL/LL encoders) — exported per epoch by the
-    #: streaming telemetry so decode cost is visible in JSONL/CSV records.
-    decode_ms: float = 0.0
 
     def all_losses(self) -> Dict[int, int]:
         """Every reported victim flow with its estimated lost packets.
@@ -135,7 +136,9 @@ def compute_delta_encoders(
 
 
 def packet_loss_detection(
-    groups: Mapping[SwitchId, SketchGroup], destructive: bool = False
+    groups: Mapping[SwitchId, SketchGroup],
+    destructive: bool = False,
+    tracer: Optional[object] = None,
 ) -> LossReport:
     """Full packet-loss analysis for one epoch (section 4.2, first task).
 
@@ -145,13 +148,14 @@ def packet_loss_detection(
     streaming engine run every epoch.  The delta HL/LL encoders are always
     decoded in place: they are built (and owned) here and discarded after
     analysis, so the pre-decode copy the scalar pipeline used to make was
-    pure overhead.  Total decode wall time is reported in ``decode_ms``.
+    pure overhead.  ``tracer`` (a :class:`~repro.obs.tracing.StageTracer`)
+    times the ``hh_decode``, ``delta_build``, ``hl_decode`` and ``ll_decode``
+    stages; it is observational only.
     """
+    tracer = tracer if tracer is not None else NULL_TRACER
     report = LossReport()
-    # Monotonic nanosecond clock, like every span timer in repro.obs.
-    decode_start = time.perf_counter_ns()
-    report.hh_decodes = decode_hh_encoders(groups, destructive=destructive)
-    report.decode_ms = (time.perf_counter_ns() - decode_start) / 1e6
+    with tracer.span("hh_decode"):
+        report.hh_decodes = decode_hh_encoders(groups, destructive=destructive)
 
     if not all(decode.success for decode in report.hh_decodes.values()):
         # The controller stops here: the delta HL encoder cannot be built
@@ -159,15 +163,15 @@ def packet_loss_detection(
         report.analysis_completed = False
         return report
 
-    delta_hl, delta_ll = compute_delta_encoders(groups, report.hh_decodes)
+    with tracer.span("delta_build"):
+        delta_hl, delta_ll = compute_delta_encoders(groups, report.hh_decodes)
 
     if delta_hl is not None:
         # Decoding drains the sketch, so snapshot one array's counts first:
         # the linear-counting fallback needs the pre-decode occupancy.
         hl_counts_row0 = delta_hl.counts_array(0)
-        decode_start = time.perf_counter_ns()
-        hl_result: DecodeResult = delta_hl.decode()
-        report.decode_ms += (time.perf_counter_ns() - decode_start) / 1e6
+        with tracer.span("hl_decode"):
+            hl_result: DecodeResult = delta_hl.decode()
         report.hl_decode_success = hl_result.success
         if hl_result.success:
             report.heavy_losses = hl_result.positive_flows()
@@ -181,9 +185,8 @@ def packet_loss_detection(
 
     if delta_ll is not None:
         ll_counts_row0 = delta_ll.counts_array(0)
-        decode_start = time.perf_counter_ns()
-        ll_result = delta_ll.decode()
-        report.decode_ms += (time.perf_counter_ns() - decode_start) / 1e6
+        with tracer.span("ll_decode"):
+            ll_result = delta_ll.decode()
         report.ll_decode_success = ll_result.success
         if ll_result.success:
             decoded_ll = ll_result.positive_flows()

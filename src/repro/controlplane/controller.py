@@ -72,11 +72,6 @@ class EpochReport:
             "ll": len(self.loss_report.light_losses),
         }
 
-    @property
-    def decode_ms(self) -> float:
-        """Wall-clock milliseconds the epoch's analysis spent decoding sketches."""
-        return self.loss_report.decode_ms
-
     def upstream_load_factor(self) -> float:
         """Decoded flows per upstream bucket — the paper's utilisation measure."""
         layout = self.config.layout
@@ -138,7 +133,9 @@ class CentralController:
         """
         tracer = tracer if tracer is not None else NULL_TRACER
         with tracer.span("decode"):
-            loss_report = packet_loss_detection(groups, destructive=destructive)
+            loss_report = packet_loss_detection(
+                groups, destructive=destructive, tracer=tracer
+            )
         hh_flowsets = {
             switch_id: decode.flowset
             for switch_id, decode in loss_report.hh_decodes.items()

@@ -208,6 +208,8 @@ def run_timeline(
     for every stage change, how many epochs ChameleMon needed before its
     configuration stopped changing (the paper reports at most 3).
     """
+    if epochs_per_stage < 1:
+        raise ValueError("epochs_per_stage must be at least 1")
     resources = resources or SwitchResources.scaled(scale)
     system = ChameleMon(resources=resources, seed=seed)
     result = TimelineResult()
@@ -241,19 +243,8 @@ def run_timeline(
             )
             epoch_index += 1
         if stage_index > 0:
-            result.shift_epochs.append(_epochs_until_stable(stage_results))
+            # epochs_to_adapt is the index of the stage's first settled epoch;
+            # the shift took that epoch too.
+            result.shift_epochs.append(system.epochs_to_adapt(stage_results) + 1)
     return result
 
-
-def _epochs_until_stable(stage_results: Sequence[EpochResult]) -> int:
-    """Epochs into a stage until the staged configuration stopped changing."""
-    if not stage_results:
-        return 0
-    final = stage_results[-1].next_config
-    stable_from = len(stage_results) - 1
-    for index in range(len(stage_results) - 1, -1, -1):
-        if stage_results[index].next_config == final:
-            stable_from = index
-        else:
-            break
-    return stable_from + 1

@@ -46,7 +46,6 @@ from ..dataplane.switch import (
 )
 from ..obs.tracing import NULL_TRACER
 from ..traffic.flow import Trace, TraceColumns
-from .routing import EcmpRouter
 from .topology import FatTreeTopology, NodeId
 
 
@@ -296,7 +295,6 @@ class NetworkSimulator:
         seed: int = 0,
     ) -> None:
         self.topology = topology or FatTreeTopology.testbed()
-        self.router = EcmpRouter(self.topology, seed=seed)
         self.switches: Dict[NodeId, EdgeSwitch] = switches or {}
         self._seed = seed
         self._rng = random.Random(seed)

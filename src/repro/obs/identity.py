@@ -9,10 +9,11 @@ the network.  This module is the single source of truth for that exclusion
 list; the stream engine, the service, the ``serve_churn`` scenario verdict,
 and the CI smoke steps all import it from here.
 
-Timing fields are monotonic-clock measurements (``time.perf_counter_ns``):
-``wall_ms`` (whole epoch), ``decode_ms`` (sketch decoding inside analysis),
-and the ``timing`` sub-dict (the per-stage span breakdown emitted when a
-:class:`~repro.obs.tracing.StageTracer` is attached).  Everything else in a
+Timing fields all come from the epoch's stage spans (monotonic
+``time.perf_counter_ns``): ``wall_ms`` is the ``epoch`` span, ``decode_ms``
+the sum of the ``hh_decode``, ``hl_decode`` and ``ll_decode`` spans, and the
+``timing`` sub-dict is the per-stage breakdown of every span, emitted when a
+:class:`~repro.obs.tracing.StageTracer` is attached.  Everything else in a
 record derives from sketch state and ground truth and must be bit-identical.
 """
 

@@ -132,10 +132,10 @@ class DecodeFailureStreak(AlertRule):
 class EpochLatencySlo(AlertRule):
     """Fire while an epoch's duration exceeds the SLO (timing rule).
 
-    ``wall_ms`` is measured by the engine on the monotonic clock
-    (``time.perf_counter_ns``, like every ``repro.obs`` span timer), so the
-    SLO cannot misfire on wall-clock adjustments; it is still a timing field
-    and stays out of the identity-compared record stream.
+    ``wall_ms`` is the epoch's ``epoch`` span, timed on the monotonic clock
+    (``time.perf_counter_ns``) like every ``repro.obs`` span, so the SLO
+    cannot misfire on wall-clock adjustments; it is still a timing field and
+    stays out of the identity-compared record stream.
     """
 
     name = "epoch_latency_slo"

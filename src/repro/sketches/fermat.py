@@ -662,28 +662,6 @@ class FermatSketch(InvertibleSketch):
         """Load factor = recorded flows / total buckets."""
         return recorded_flows / self.total_buckets()
 
-    # ------------------------------------------------------------------ #
-    # convenience
-    # ------------------------------------------------------------------ #
-    def encode_trace(self, flow_ids: Iterable[int]) -> None:
-        """Insert one packet per element of ``flow_ids``.
-
-        Delegates to :meth:`insert_batch` on the per-flow packet counts
-        (``np.unique`` is the bincount over bucket-able flow IDs), which is
-        bit-identical to the per-packet loop — modular sums are
-        order-insensitive — but runs on the vectorized path.
-        """
-        ids = flow_ids if isinstance(flow_ids, np.ndarray) else list(flow_ids)
-        if len(ids) == 0:
-            return
-        if not isinstance(ids, np.ndarray):
-            try:
-                ids = np.asarray(ids, dtype=np.uint64)
-            except (OverflowError, TypeError, ValueError):
-                ids = np.array([int(k) for k in ids], dtype=object)
-        unique, counts = np.unique(ids, return_counts=True)
-        self.insert_batch(unique, counts.astype(np.int64))
-
     def bucket(self, i: int, j: int) -> Tuple[int, int]:
         """Return the (count, IDsum) pair of bucket ``j`` of array ``i``."""
         return int(self._counts[i][j]), int(self._idsums[i][j])

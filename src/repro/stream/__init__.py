@@ -25,7 +25,6 @@ from .sinks import (
     EpochSink,
     JsonlSink,
     MemorySink,
-    MultiSink,
     ResilientSink,
 )
 from .sources import (
@@ -55,7 +54,6 @@ __all__ = [
     "CsvSink",
     "MemorySink",
     "ConsoleSink",
-    "MultiSink",
     "ResilientSink",
     "TraceSource",
     "SyntheticSource",

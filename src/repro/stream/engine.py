@@ -30,7 +30,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Sequence, Union
 
 from ..chaos import ChaosMonitor, FaultInjector
@@ -38,7 +38,7 @@ from ..core.runner import ChameleMon, EpochResult
 from ..dataplane.config import SwitchResources
 from ..obs.identity import TIMING_FIELDS, comparable  # noqa: F401 - re-exported
 from ..obs.metrics import EpochMetrics, MetricsRegistry
-from ..obs.tracing import NULL_TRACER, StageTracer, stage_millis
+from ..obs.tracing import Span, StageTracer, stage_millis
 from ..traffic.flow import Trace
 from .events import EventSchedule, NetworkConditions, StreamEvent
 from .sinks import EpochSink
@@ -48,6 +48,15 @@ from .sources import TraceSource
 #: generated.  Used both for the facade's result cap and the resident-flow
 #: assertion.
 RESIDENT_EPOCHS = 2
+
+#: The spans whose durations sum to a record's ``decode_ms``: the per-switch
+#: HH decodes and the delta HL/LL decodes (the delta build is not decoding).
+_DECODE_SPANS = ("hh_decode", "hl_decode", "ll_decode")
+
+
+def _span_ms(spans: Sequence[Span], names: Sequence[str]) -> float:
+    """Total milliseconds of the spans with one of ``names``, at any depth."""
+    return sum(span.duration_ns for span in spans if span.name in names) / 1e6
 
 
 class _ResidentTracker:
@@ -82,14 +91,21 @@ class StreamSummary:
     mean_f1: float = 0.0
     mean_are: float = 0.0
     final_level: str = ""
+    #: The part of ``epochs`` and ``packets`` restored from a checkpoint: an
+    #: earlier process ran it, so the rates, which divide this process's work
+    #: by its ``wall_seconds``, leave it out.  Set by the engine on resume.
+    restored_epochs: int = field(default=0, init=False)
+    restored_packets: int = field(default=0, init=False)
 
     @property
     def epochs_per_second(self) -> float:
-        return self.epochs / self.wall_seconds if self.wall_seconds > 0 else 0.0
+        epochs = self.epochs - self.restored_epochs
+        return epochs / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
     @property
     def packets_per_second(self) -> float:
-        return self.packets / self.wall_seconds if self.wall_seconds > 0 else 0.0
+        packets = self.packets - self.restored_packets
+        return packets / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -147,6 +163,11 @@ class StreamingEngine:
             pipelined = (os.cpu_count() or 1) > 1
         self.pipelined = pipelined
         self.rolling_window = rolling_window
+        # Spans are the engine's one per-epoch clock: every record's
+        # ``wall_ms`` and ``decode_ms`` come from them, so an untraced engine
+        # runs on a private tracer (drained every epoch, never exported).
+        self.tracer = tracer
+        self._tracer = tracer if tracer is not None else StageTracer()
         self.system = ChameleMon(
             resources=resources or SwitchResources(),
             seed=seed,
@@ -156,13 +177,12 @@ class StreamingEngine:
             # The engine owns the collected groups and drops them right after
             # analysis, so the controller may decode them in place.
             destructive_analysis=True,
-            tracer=tracer,
+            tracer=self._tracer,
         )
         self.conditions = NetworkConditions(self.system.simulator.topology, seed=seed)
-        # Observability (repro.obs): all three are optional and purely
-        # observational — a traced/metered run is bit-identical to a bare one.
-        self.tracer = tracer
-        self._tracer = tracer if tracer is not None else NULL_TRACER
+        # Observability (repro.obs): the caller's tracer, metrics and span
+        # sink are optional and purely observational — a traced/metered run
+        # is bit-identical to a bare one.
         self.metrics = metrics
         self._instruments = EpochMetrics(metrics) if metrics is not None else None
         self.span_sink = span_sink
@@ -305,6 +325,8 @@ class StreamingEngine:
             for key in ("epochs", "flows", "packets", "lost_packets"):
                 setattr(summary, key, int(loop_state["summary"][key]))
             summary.final_level = loop_state["summary"]["final_level"]
+            summary.restored_epochs = summary.epochs
+            summary.restored_packets = summary.packets
         self._loop_live = {
             "f1_window": f1_window, "are_window": are_window,
             "totals": totals, "summary": summary,
@@ -331,9 +353,10 @@ class StreamingEngine:
                 if max_epochs is None or epoch + 1 < max_epochs
                 else None
             )
-            epoch_start = time.perf_counter_ns()
             result = self.system.run_epoch(trace)
-            wall_ms = (time.perf_counter_ns() - epoch_start) / 1e6
+            # Only spans belonging to epochs <= this one: the pipelined
+            # producer may have already completed epoch+1's generate span.
+            spans = self._tracer.drain(upto_epoch=epoch)
             num_flows = len(trace)
             packets = trace.num_packets()
             self._resident.remove(num_flows)
@@ -344,12 +367,9 @@ class StreamingEngine:
             totals["f1"] += accuracy["f1"]
             totals["are"] += accuracy["are"]
             record = self._record(
-                epoch, result, num_flows, packets, accuracy, f1_window, are_window, wall_ms
+                epoch, result, num_flows, packets, accuracy, f1_window, are_window, spans
             )
             if self.tracer is not None:
-                # Only spans belonging to epochs <= this one: the pipelined
-                # producer may have already completed epoch+1's generate span.
-                spans = self.tracer.drain(upto_epoch=epoch)
                 record["timing"] = stage_millis(spans)
                 if self.span_sink is not None:
                     self.span_sink.write(spans)
@@ -439,7 +459,7 @@ class StreamingEngine:
         accuracy: Dict[str, float],
         f1_window: deque,
         are_window: deque,
-        wall_ms: float,
+        spans: Sequence[Span],
     ) -> Dict[str, Any]:
         division = result.memory_division()
         decoded = result.decoded_flow_counts()
@@ -472,6 +492,6 @@ class StreamingEngine:
             "rolling_f1": sum(f1_window) / len(f1_window),
             "rolling_are": sum(are_window) / len(are_window),
             "decode_failures": decode_failures,
-            "wall_ms": wall_ms,
-            "decode_ms": result.report.decode_ms,
+            "wall_ms": _span_ms(spans, ("epoch",)),
+            "decode_ms": _span_ms(spans, _DECODE_SPANS),
         }

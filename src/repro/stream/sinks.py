@@ -312,21 +312,3 @@ class ResilientSink(EpochSink):
     def truncate_to(self, offset: int, *args: Any, **kwargs: Any) -> None:
         self.inner.truncate_to(offset, *args, **kwargs)
 
-
-class MultiSink(EpochSink):
-    """Fan one record out to several sinks."""
-
-    def __init__(self, sinks: Sequence[EpochSink]) -> None:
-        self.sinks = list(sinks)
-
-    def write(self, record: Dict[str, Any]) -> None:
-        for sink in self.sinks:
-            sink.write(record)
-
-    def sync(self) -> None:
-        for sink in self.sinks:
-            sink.sync()
-
-    def close(self) -> None:
-        for sink in self.sinks:
-            sink.close()

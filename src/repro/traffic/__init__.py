@@ -13,7 +13,6 @@ from .flow import (
     FlowRecord,
     FlowRow,
     FlowView,
-    Packet,
     Trace,
     TraceColumns,
     pack_flow_ids,
@@ -43,7 +42,6 @@ __all__ = [
     "FlowRow",
     "FlowSizeDistribution",
     "FlowView",
-    "Packet",
     "Trace",
     "TraceColumns",
     "TraceFormatError",

@@ -1,4 +1,4 @@
-"""Flow and packet record types shared by the traffic generators and the simulator.
+"""Flow record types shared by the traffic generators and the simulator.
 
 Since the columnar-first refactor the *primary* representation of a workload
 is :class:`TraceColumns` — a struct-of-arrays (NumPy) store holding one column
@@ -22,7 +22,7 @@ Mutation contract
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -84,17 +84,6 @@ class FlowRecord:
 
     def delivered_packets(self) -> int:
         return self.size - self.lost_packets
-
-
-@dataclass
-class Packet:
-    """A single packet of a flow."""
-
-    flow_id: int
-    sequence: int
-    src_host: Optional[int] = None
-    dst_host: Optional[int] = None
-    size_bytes: int = 64  # the testbed fixes every packet to 64 bytes
 
 
 def pack_flow_ids(ids: Sequence[int]) -> np.ndarray:
@@ -525,47 +514,3 @@ class Trace:
             return [int(i) for i in ids]
         return ids
 
-    # ------------------------------------------------------------------ #
-    # packet streams (examples / scalar reference only)
-    # ------------------------------------------------------------------ #
-    def packets(self) -> Iterator[Packet]:
-        """Iterate the packet stream flow-by-flow (sequence numbers per flow)."""
-        for flow in self.flows:
-            for sequence in range(flow.size):
-                yield Packet(
-                    flow_id=flow.flow_id,
-                    sequence=sequence,
-                    src_host=flow.src_host,
-                    dst_host=flow.dst_host,
-                )
-
-    def interleaved_packets(self, seed: int = 0, chunk: int = 1) -> Iterator[Packet]:
-        """Iterate packets with flows interleaved round-robin style.
-
-        The exact interleaving does not affect any sketch in this repository
-        (they are all order-insensitive within an epoch), but interleaving is
-        closer to reality and exercises the data-plane pipeline more honestly
-        in the examples.
-        """
-        import random
-
-        rng = random.Random(seed)
-        cursors: List[Tuple[FlowRow, int]] = [(flow, 0) for flow in self.flows]
-        rng.shuffle(cursors)
-        active = [[flow, 0] for flow, _ in cursors]
-        while active:
-            next_active = []
-            for entry in active:
-                flow, sent = entry
-                upper = min(flow.size, sent + chunk)
-                for sequence in range(sent, upper):
-                    yield Packet(
-                        flow_id=flow.flow_id,
-                        sequence=sequence,
-                        src_host=flow.src_host,
-                        dst_host=flow.dst_host,
-                    )
-                entry[1] = upper
-                if upper < flow.size:
-                    next_active.append(entry)
-            active = next_active

@@ -202,6 +202,11 @@ class TestArming:
         inj.sink_hook("records")({"epoch": 0})  # must not fire or consume
         with pytest.raises(OSError, match="alerts"):
             inj.sink_hook("alerts")({"epoch": 0})
+        # An untargeted spec is meant for the record sinks.
+        inj = injector({"faults": [{"kind": "sink_flush_error", "epoch": 0}]})
+        inj.sink_hook("alerts")({"epoch": 0})  # must not fire or consume
+        with pytest.raises(OSError, match="records"):
+            inj.sink_hook("records")({"epoch": 0})
 
     def test_identical_specs_inject_identically(self):
         spec = {"faults": [

@@ -128,6 +128,7 @@ class TestRegistryCommands:
         ("ablation_fermat", "decode_trials=0", "trials and decode_trials must be at least 1"),
         ("fig7", "max_epochs=0", "max_epochs must be at least 1"),
         ("fig8", "max_epochs=0", "max_epochs must be at least 1"),
+        ("fig9", "epochs_per_stage=0", "epochs_per_stage must be at least 1"),
         ("fig5", "loss_rate=3", "loss_rate must be in [0, 1]"),
         ("fig4", "loss_rate=-1", "loss_rate must be in [0, 1]"),
     ])

@@ -139,8 +139,7 @@ class TestFaultedEpochSurvival:
         trace = make_trace(topology, num_flows=200, seed=11)
         edge = simulator.topology.edge_switch_of_host(4)
         fault = LinkFailure(edge, simulator.topology.host(4), loss_rate=loss_rate)
-        faulty = apply_faults(trace, simulator.topology, [fault], seed=11,
-                              router=simulator.router)
+        faulty = apply_faults(trace, simulator.topology, [fault], seed=11)
         truth = simulator.run_epoch(faulty)
         # The simulator's ground truth reproduces the fault model's victim
         # set and per-flow loss counts exactly.
@@ -153,10 +152,8 @@ class TestFaultedEpochSurvival:
         core = simulator.topology.core_switches[1]
         agg = next(iter(simulator.topology.graph[core]))
         fault = LinkFailure(core, agg, loss_rate=0.4)
-        faulty = apply_faults(trace, simulator.topology, [fault], seed=12,
-                              router=simulator.router)
-        expected = set(victims_by_cause(trace, simulator.topology, [fault],
-                                        router=simulator.router)[0])
+        faulty = apply_faults(trace, simulator.topology, [fault], seed=12)
+        expected = set(victims_by_cause(trace, simulator.topology, [fault], seed=12)[0])
         assert {f.flow_id for f in faulty.flows if f.is_victim} == expected
 
         simulator.run_epoch(faulty)
@@ -177,8 +174,7 @@ class TestEndToEndAttribution:
         trace = make_trace(topology, num_flows=250, seed=8)
         edge = simulator.topology.edge_switch_of_host(2)
         fault = LinkFailure(edge, simulator.topology.host(2), loss_rate=0.2)
-        faulty = apply_faults(trace, simulator.topology, [fault], seed=8,
-                              router=simulator.router)
+        faulty = apply_faults(trace, simulator.topology, [fault], seed=8)
 
         simulator.run_epoch(faulty)
         groups = {node: s.end_epoch() for node, s in simulator.switches.items()}

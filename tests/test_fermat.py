@@ -1,6 +1,7 @@
 """Tests for FermatSketch: encode/decode, add/subtract, sizing, fingerprints."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -242,6 +243,8 @@ class TestDecodeRobustness:
         assert sketch.decode().flows == flows
 
     def test_encode_trace(self):
+        # A packet trace goes in as one insert_batch of its per-ID counts.
+        counts = Counter([1, 1, 2, 3, 3, 3])
         sketch = FermatSketch(32)
-        sketch.encode_trace([1, 1, 2, 3, 3, 3])
+        sketch.insert_batch(list(counts), list(counts.values()))
         assert sketch.decode().flows == {1: 2, 2: 1, 3: 3}

@@ -487,6 +487,48 @@ class TestIdentity:
 
 
 # --------------------------------------------------------------------------- #
+# one clock: wall_ms, decode_ms and timing come from the epoch's spans
+# --------------------------------------------------------------------------- #
+class TestOneClock:
+    def _records(self, tracer=None, epochs=4, seed=6):
+        source = SyntheticSource.steady(
+            num_flows=150, epochs=epochs, victim_ratio=0.1, loss_rate=0.1, seed=seed
+        )
+        sink = MemorySink()
+        engine = StreamingEngine(
+            source, sinks=[sink], resources=RESOURCES, seed=seed, pipelined=True,
+            tracer=tracer,
+        )
+        engine.run()
+        return sink.records, engine
+
+    @pytest.mark.parametrize("enclosing", [False, True], ids=["bare", "enclosed"])
+    def test_wall_and_decode_ms_are_the_epoch_spans(self, enclosing):
+        tracer = StageTracer()
+        if enclosing:
+            with tracer.span("serve"):
+                records, _ = self._records(tracer)
+        else:
+            records, _ = self._records(tracer)
+        epoch = "serve/epoch" if enclosing else "epoch"
+        decode = f"{epoch}/analyze/decode"
+        for record in records:
+            timing = record["timing"]
+            assert f"{decode}/hh_decode" in timing
+            assert record["wall_ms"] == pytest.approx(timing[epoch])
+            assert record["decode_ms"] == pytest.approx(sum(
+                timing.get(f"{decode}/{stage}", 0.0)
+                for stage in ("hh_decode", "hl_decode", "ll_decode")
+            ))
+
+    def test_untraced_engine_drains_its_private_tracer(self):
+        records, engine = self._records(epochs=30, seed=7)
+        assert len(records) == 30
+        # At most the generate span of the epoch after the source ended.
+        assert engine._tracer.pending <= 1
+
+
+# --------------------------------------------------------------------------- #
 # engine and service integration
 # --------------------------------------------------------------------------- #
 class TestEngineIntegration:

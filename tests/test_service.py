@@ -510,6 +510,25 @@ def test_resume_final_system_state_matches(tmp_path):
     assert resumed_engine.snapshot_system() == full_engine.snapshot_system()
 
 
+def test_resumed_run_reports_its_own_rate(tmp_path):
+    # The totals cover the whole run; the rates divide the epochs and packets
+    # this process ran by this process's wall time.
+    checkpoint = str(tmp_path / "rate.rtck")
+    TelemetryService(
+        make_engine(61), checkpoint_path=checkpoint, checkpoint_interval=2,
+    ).run(max_epochs=4)
+    sink = MemorySink()
+    summary = TelemetryService(
+        make_engine(61, sinks=[sink]), checkpoint_path=checkpoint,
+        checkpoint_interval=2,
+    ).run(resume=True)
+    ran_packets = sum(record["packets"] for record in sink.records)
+    assert [record["epoch"] for record in sink.records] == [4, 5, 6, 7]
+    assert summary.epochs == 8 and summary.packets > ran_packets
+    assert summary.epochs_per_second * summary.wall_seconds == pytest.approx(4)
+    assert summary.packets_per_second * summary.wall_seconds == pytest.approx(ran_packets)
+
+
 def test_resume_rejects_mismatched_spec(tmp_path):
     run_service(51, tmp_path, stop_at=4)
     with pytest.raises(CheckpointError, match="different run"):

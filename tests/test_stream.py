@@ -19,7 +19,6 @@ from repro.stream import (
     LossRateShiftEvent,
     MemorySink,
     MergeSource,
-    MultiSink,
     NetworkConditions,
     Phase,
     StreamingEngine,
@@ -255,13 +254,6 @@ class TestSinks:
         sink.close()
         rows = list(csv.DictReader(open(path)))
         assert len(rows) == 2 and rows[1]["epoch"] == "1"
-
-    def test_multi_sink_fans_out(self, tmp_path):
-        memory_a, memory_b = MemorySink(), MemorySink()
-        sink = MultiSink([memory_a, memory_b])
-        sink.write(self.RECORD)
-        sink.close()
-        assert memory_a.records == memory_b.records == [self.RECORD]
 
     def test_console_sink_writes_one_line(self, capsys):
         ConsoleSink().write(self.RECORD)

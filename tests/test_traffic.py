@@ -104,18 +104,6 @@ class TestTrace:
         assert trace.flow_sizes() == {1: 10, 2: 5}
         assert trace.size_distribution() == {10: 1, 5: 1}
 
-    def test_packet_iteration(self):
-        trace = Trace(flows=[FlowRecord(flow_id=1, size=3), FlowRecord(flow_id=2, size=2)])
-        packets = list(trace.packets())
-        assert len(packets) == 5
-        assert [p.sequence for p in packets[:3]] == [0, 1, 2]
-
-    def test_interleaved_packets_complete(self):
-        trace = Trace(flows=[FlowRecord(flow_id=1, size=3), FlowRecord(flow_id=2, size=4)])
-        packets = list(trace.interleaved_packets(seed=1, chunk=2))
-        assert len(packets) == 7
-        assert sum(1 for p in packets if p.flow_id == 1) == 3
-
 
 class TestGenerators:
     def test_caida_like_scale(self):
