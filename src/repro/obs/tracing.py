@@ -195,6 +195,9 @@ def stage_millis(spans: Iterable[Span]) -> Dict[str, float]:
     return {key: value / 1e6 for key, value in totals.items()}
 
 
+_encode_compact = json.JSONEncoder(separators=(",", ":")).encode
+
+
 class JsonlSpanSink:
     """Append completed spans to a JSONL file, one span per line.
 
@@ -208,14 +211,14 @@ class JsonlSpanSink:
         self._file = None
 
     def write(self, spans: Iterable[Span]) -> None:
-        spans = list(spans)
-        if not spans:
+        # One encoded string and one write per epoch: ``json.dump`` would
+        # issue a file write for every JSON token of every span.
+        lines = [_encode_compact(span.to_dict()) + "\n" for span in spans]
+        if not lines:
             return
         if self._file is None:
             self._file = open(self.path, "a", encoding="utf-8")
-        for span in spans:
-            json.dump(span.to_dict(), self._file, separators=(",", ":"))
-            self._file.write("\n")
+        self._file.write("".join(lines))
         self._file.flush()
 
     def close(self) -> None:

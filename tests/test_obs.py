@@ -249,6 +249,25 @@ class TestJsonlSpanSink:
         assert ["/".join(s["path"]) for s in spans] == ["epoch/simulate", "epoch"]
         assert all(s["epoch"] == 0 for s in spans)
 
+    def test_one_compact_json_object_per_line(self, tmp_path):
+        tracer = StageTracer()
+        for epoch in (0, 1):
+            tracer.set_epoch(epoch)
+            with tracer.span("epoch"):
+                with tracer.span("decode"):
+                    pass
+        first, second = tracer.drain(upto_epoch=0), tracer.drain()
+        path = tmp_path / "spans.jsonl"
+        sink = JsonlSpanSink(str(path))
+        sink.write(iter(first))
+        sink.write(second)
+        sink.close()
+        expected = "".join(
+            json.dumps(span.to_dict(), separators=(",", ":")) + "\n"
+            for span in first + second
+        )
+        assert path.read_text(encoding="utf-8") == expected
+
     def test_empty_write_creates_no_file(self, tmp_path):
         path = tmp_path / "spans.jsonl"
         sink = JsonlSpanSink(str(path))
