@@ -46,7 +46,6 @@ def _engine(flows, sinks):
         sinks=sinks,
         resources=SwitchResources.scaled(0.05),
         seed=SEED,
-        pipelined=True,
         rolling_window=4,
     )
 

@@ -74,7 +74,6 @@ def _run(source, spans_path=None):
         sinks=[sink],
         resources=SwitchResources.scaled(RESOURCE_SCALE),
         seed=11,
-        pipelined="auto",
         **kwargs,
     )
     summary = engine.run()

@@ -606,7 +606,7 @@ def cmd_trace_convert(args: argparse.Namespace) -> int:
     from .stream.sources import TraceFileSource, _infer_format, write_trace_file
 
     try:
-        source_format = _infer_format(args.source)
+        source = TraceFileSource(args.source, flows_per_epoch=args.flows_per_epoch)
         dest_format = _infer_format(args.dest)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -614,28 +614,28 @@ def cmd_trace_convert(args: argparse.Namespace) -> int:
     if not os.path.exists(args.source):
         print(f"error: no such trace file: {args.source}", file=sys.stderr)
         return 2
-    source = TraceFileSource(args.source, flows_per_epoch=args.flows_per_epoch)
     epochs = write_trace_file(args.dest, source.epochs())
     if not args.quiet:
         print(
-            f"converted {args.source} ({source_format}) -> {args.dest} "
+            f"converted {args.source} ({source.format}) -> {args.dest} "
             f"({dest_format}): {epochs} epochs"
         )
     return 0
 
 
 def cmd_trace_inspect(args: argparse.Namespace) -> int:
-    from .stream.sources import TraceFileSource, _infer_format
+    from .stream.sources import TraceFileSource
     from .traffic.store import TraceFormatError, inspect_binary_trace
 
     if not os.path.exists(args.path):
         print(f"error: no such trace file: {args.path}", file=sys.stderr)
         return 2
     try:
-        fmt = _infer_format(args.path)
+        source = TraceFileSource(args.path, flows_per_epoch=args.flows_per_epoch)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    fmt = source.format
     try:
         if fmt == "binary":
             summary = inspect_binary_trace(args.path)
@@ -652,7 +652,6 @@ def cmd_trace_inspect(args: argparse.Namespace) -> int:
                 "wide_epochs": 0,
                 "file_bytes": os.path.getsize(args.path),
             }
-            source = TraceFileSource(args.path, flows_per_epoch=args.flows_per_epoch)
             columns_summary = {}
             for trace in source.epochs():
                 columns = trace.columns()

@@ -1,13 +1,13 @@
 """The identity-vs-timing contract: which observable fields may differ between
 two runs that are otherwise bit-identical.
 
-Every reproducibility property in this codebase — pipelined vs. serial
-streaming, resumed vs. uninterrupted services, traced vs. untraced runs —
-is asserted by comparing per-epoch records for
-exact equality *after* stripping the fields that measure the run instead of
-the network.  This module is the single source of truth for that exclusion
-list; the stream engine, the service, the ``serve_churn`` scenario verdict,
-and the CI smoke steps all import it from here.
+Every reproducibility property in this codebase — streamed vs. replayed
+traces, resumed vs. uninterrupted services, traced vs. untraced runs — is
+asserted by comparing per-epoch records for exact equality *after*
+stripping the fields that measure the run instead of the network.  This
+module is the single source of truth for that exclusion list; the stream
+engine, the service, the ``serve_churn`` scenario verdict, and the CI smoke
+steps all import it from here.
 
 Timing fields all come from the epoch's stage spans (monotonic
 ``time.perf_counter_ns``): ``wall_ms`` is the ``epoch`` span, ``decode_ms``

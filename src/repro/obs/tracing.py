@@ -2,17 +2,16 @@
 
 A :class:`StageTracer` hands out ``with tracer.span("decode"):`` context
 managers built on ``time.perf_counter_ns`` (monotonic, ~20ns per call).  Spans
-nest through a *thread-local* stack, so the pipelined engine's generation
-worker (producing epoch ``k+1``) and the analysis thread (inside epoch ``k``)
+nest through a *thread-local* stack, so spans opened on different threads
 each build their own hierarchy without locking each other; completed spans
 land in one shared, lock-guarded list.
 
 Two integration points make the tracer fit this pipeline specifically:
 
 * **Epoch tagging** — :meth:`set_epoch` stamps subsequently completed spans,
-  and producers tag their spans explicitly (``span("generate", epoch=k+1)``),
-  so :meth:`drain` can return exactly the spans belonging to epochs ``<= k``
-  while the next epoch's generation is still in flight.
+  and a span that closes before its epoch is set tags itself explicitly (the
+  engine's ``span("generate", epoch=k)``), so every span :meth:`drain` hands
+  back carries the epoch it measured.
 * **Observability only** — the tracer measures the run and is never read
   back by the pipeline, so a traced run is bit-identical to an untraced one
   (property-tested across seeds).
@@ -118,7 +117,7 @@ class NullTracer:
     def set_epoch(self, epoch: int) -> None:
         pass
 
-    def drain(self, upto_epoch: Optional[int] = None) -> List[Span]:
+    def drain(self) -> List[Span]:
         return []
 
 
@@ -149,31 +148,15 @@ class StageTracer:
     def set_epoch(self, epoch: int) -> None:
         """Stamp spans completed from here on with this epoch index.
 
-        Spans that passed an explicit ``epoch=`` (the pipelined producer's
-        ``generate`` span, which runs ahead of the analysis epoch) keep it.
+        Spans that passed an explicit ``epoch=`` keep it: the engine's
+        ``generate`` span closes before the facade sets its epoch.
         """
         self._epoch = epoch
 
-    def drain(self, upto_epoch: Optional[int] = None) -> List[Span]:
-        """Remove and return completed spans (optionally only epochs <= N).
-
-        The epoch filter is what makes draining race-free under the pipelined
-        engine: the producer may complete epoch ``k+1``'s ``generate`` span at
-        any moment, but ``drain(upto_epoch=k)`` leaves it queued for the next
-        epoch's drain.  Spans with no epoch stamp are always returned.
-        """
+    def drain(self) -> List[Span]:
+        """Remove and return every completed span, in completion order."""
         with self._lock:
-            if upto_epoch is None:
-                drained, self._spans = self._spans, []
-            else:
-                drained = [
-                    span for span in self._spans
-                    if span.epoch is None or span.epoch <= upto_epoch
-                ]
-                self._spans = [
-                    span for span in self._spans
-                    if not (span.epoch is None or span.epoch <= upto_epoch)
-                ]
+            drained, self._spans = self._spans, []
         return drained
 
     @property

@@ -786,7 +786,6 @@ def _stream_output(records, summary) -> Dict[str, Any]:
         epochs_per_stage=4,
         loss_rate=0.05,
         scale=0.05,
-        pipelined=True,
         rolling_window=8,
     ),
     seed=50,
@@ -811,7 +810,6 @@ def stream_timeline_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         sinks=[sink],
         resources=SwitchResources.scaled(params["scale"]),
         seed=seed,
-        pipelined=params["pipelined"],
         rolling_window=params["rolling_window"],
     )
     summary = engine.run()
@@ -832,7 +830,6 @@ def stream_timeline_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         fail_loss=0.5,
         fail_host=0,
         scale=0.05,
-        pipelined=True,
     ),
     seed=51,
     smoke=dict(flows=200, epochs=5, fail_epoch=2, recover_epoch=4),
@@ -879,7 +876,6 @@ def stream_failover_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         sinks=[sink],
         resources=SwitchResources.scaled(params["scale"]),
         seed=seed,
-        pipelined=params["pipelined"],
     )
     summary = engine.run()
     return _stream_output(sink.records, summary)
@@ -897,7 +893,6 @@ def stream_failover_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         epochs=8,
         loss_rate=0.05,
         scale=0.05,
-        pipelined=True,
     ),
     seed=52,
     smoke=dict(tenants=(("DCTCP", 120, 0.05), ("CACHE", 80, 0.15)), epochs=3),
@@ -925,7 +920,6 @@ def stream_multitenant_point(params: Dict[str, Any], seed: int) -> Dict[str, Any
         sinks=[sink],
         resources=SwitchResources.scaled(params["scale"]),
         seed=seed,
-        pipelined=params["pipelined"],
     )
     summary = engine.run()
     return _stream_output(sink.records, summary)
@@ -948,7 +942,6 @@ def stream_multitenant_point(params: Dict[str, Any], seed: int) -> Dict[str, Any
         f1_floor=0.85,
         alert_warmup=2,
         scale=0.05,
-        pipelined=True,
         rolling_window=4,
     ),
     seed=53,
@@ -1001,7 +994,6 @@ def serve_churn_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
             sinks=[sink],
             resources=SwitchResources.scaled(params["scale"]),
             seed=seed,
-            pipelined=params["pipelined"],
             rolling_window=params["rolling_window"],
         )
         alerts = AlertEngine(
@@ -1063,7 +1055,6 @@ def serve_churn_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         checkpoint_interval=2,
         keep_checkpoints=2,
         scale=0.05,
-        pipelined=True,
         rolling_window=4,
     ),
     seed=57,
@@ -1105,7 +1096,6 @@ def serve_chaos_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
             sinks=[MemorySink(), JsonlSink(sink_path)],
             resources=SwitchResources.scaled(params["scale"]),
             seed=seed,
-            pipelined=params["pipelined"],
             rolling_window=params["rolling_window"],
             chaos=chaos,
         )

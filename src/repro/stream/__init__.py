@@ -3,8 +3,8 @@
 The :mod:`repro.stream` subsystem turns the batch reproduction into an
 always-on measurement loop: pluggable :mod:`~repro.stream.sources` yield
 epoch-sized traffic chunks, the :class:`~repro.stream.engine.StreamingEngine`
-drives the simulator and controller with O(epoch) memory (double-buffering
-generation against analysis), :mod:`~repro.stream.events` applies live
+drives the simulator and controller with O(epoch) memory (one epoch
+produced and analysed at a time), :mod:`~repro.stream.events` applies live
 network-state changes between epochs, and :mod:`~repro.stream.sinks` export
 one report per epoch as it happens.
 """

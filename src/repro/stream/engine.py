@@ -7,29 +7,21 @@ changes applied between epochs by an
 :class:`~repro.stream.events.EventSchedule` and one flat report per epoch
 pushed to :class:`~repro.stream.sinks.EpochSink` objects.
 
-Two properties distinguish it from the batch pipeline
-(:class:`~repro.core.runner.ChameleMon` over a materialized trace list):
-
-* **O(epoch) memory.**  At any instant at most two epochs of traffic are
-  resident — the epoch being analysed and the epoch being generated — and the
-  controller/facade histories are capped, so a run's footprint is independent
-  of its length.  The engine tracks the high-water mark
-  (:attr:`StreamSummary.peak_resident_flows`) and tests assert the bound.
-* **Double buffering.**  With ``pipelined=True`` (the default) epoch ``k+1``
-  is produced on a ``concurrent.futures`` worker while epoch ``k`` is being
-  analysed.  Generation state (source iterator, event schedule, per-epoch
-  seeds) is strictly ordered on the single worker and shares nothing mutable
-  with analysis, so the pipelined run is bit-identical to ``pipelined=False``
-  (asserted in tests).
+What distinguishes it from the batch pipeline
+(:class:`~repro.core.runner.ChameleMon` over a materialized trace list) is
+**O(epoch) memory**.  The engine produces each epoch inline on the caller's
+thread (events, source, :meth:`~repro.stream.events.NetworkConditions.transform`),
+analyses it and writes its record before it draws the next one, so one epoch
+of traffic is resident at a time.  The controller/facade histories are capped
+too, so a run's footprint is independent of its length.  The engine tracks
+the largest epoch it held (:attr:`StreamSummary.peak_resident_flows`) and
+tests assert the bound.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Sequence, Union
 
@@ -44,9 +36,8 @@ from .events import EventSchedule, NetworkConditions, StreamEvent
 from .sinks import EpochSink
 from .sources import TraceSource
 
-#: Engine state kept per epoch: the trace under analysis plus the one being
-#: generated.  Used both for the facade's result cap and the resident-flow
-#: assertion.
+#: How many ``EpochResult``s the facade keeps: the epoch just analysed and
+#: the one before it.
 RESIDENT_EPOCHS = 2
 
 #: The spans whose durations sum to a record's ``decode_ms``: the per-switch
@@ -57,25 +48,6 @@ _DECODE_SPANS = ("hh_decode", "hl_decode", "ll_decode")
 def _span_ms(spans: Sequence[Span], names: Sequence[str]) -> float:
     """Total milliseconds of the spans with one of ``names``, at any depth."""
     return sum(span.duration_ns for span in spans if span.name in names) / 1e6
-
-
-class _ResidentTracker:
-    """Tracks how many flows the engine holds resident, and the peak."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._current = 0
-        self.peak = 0
-
-    def add(self, flows: int) -> None:
-        with self._lock:
-            self._current += flows
-            if self._current > self.peak:
-                self.peak = self._current
-
-    def remove(self, flows: int) -> None:
-        with self._lock:
-            self._current -= flows
 
 
 @dataclass
@@ -130,7 +102,15 @@ class StreamSummary:
 
 
 class StreamingEngine:
-    """Continuous epoch pipeline: source -> events -> simulate -> analyse -> sinks."""
+    """Continuous epoch pipeline: source -> events -> simulate -> analyse -> sinks.
+
+    Every epoch is produced inline on the caller's thread.  ``pipelined``
+    has no effect and the engine stores nothing for it; it is still checked
+    (``True``, ``False`` or ``"auto"``) so existing callers keep working.
+    There is no pipelined mode because production and analysis are both
+    Python under one GIL: a producer thread overlaps nothing, adds thread
+    switches, and keeps a second epoch of traffic resident.
+    """
 
     def __init__(
         self,
@@ -156,12 +136,6 @@ class StreamingEngine:
         self.schedule = events if isinstance(events, EventSchedule) else EventSchedule(events)
         self.sinks = list(sinks)
         self.seed = seed
-        # "auto" double-buffers only when a second core exists: generation
-        # can never overlap analysis on a single CPU, so the worker thread
-        # would be pure overhead there.  Results are bit-identical either way.
-        if pipelined == "auto":
-            pipelined = (os.cpu_count() or 1) > 1
-        self.pipelined = pipelined
         self.rolling_window = rolling_window
         # Spans are the engine's one per-epoch clock: every record's
         # ``wall_ms`` and ``decode_ms`` come from them, so an untraced engine
@@ -196,42 +170,27 @@ class StreamingEngine:
             self.monitor.bind(metrics)
         if chaos is not None:
             chaos.install_sinks(self.sinks)
-        self._resident = _ResidentTracker()
         self._closed = False
         self._loop_live: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------ #
-    # production (runs on the worker thread when pipelined)
+    # production
     # ------------------------------------------------------------------ #
     def _produce(self, iterator: Iterator[Trace], epoch: int) -> Optional[Trace]:
         """Apply epoch-boundary events, then produce the epoch's trace.
 
-        Returns ``None`` when the source is exhausted.  Calls are strictly
-        ordered (inline when serial, FIFO on the single worker when
-        pipelined), so the generation-side state — source iterator, event
-        mutations, per-epoch seeds — evolves identically in both modes.
+        Returns ``None`` when the source is exhausted.  The loop calls it
+        once per epoch, after the previous epoch's record was written.
         """
-        # The generate span is tagged with its own (future) epoch explicitly:
-        # under pipelining it completes while epoch-1's analysis is running,
-        # and the tag keeps the per-epoch drain deterministic.
+        # Tagged explicitly: this span closes before ``ChameleMon.run_epoch``
+        # stamps the tracer with ``epoch``.
         with self._tracer.span("generate", epoch=epoch):
             self.conditions.apply_events(self.schedule.at(epoch))
             try:
                 trace = next(iterator)
             except StopIteration:
                 return None
-            trace = self.conditions.transform(trace, epoch)
-            self._resident.add(len(trace))
-            return trace
-
-    def _submit(
-        self, pool: Optional[ThreadPoolExecutor], iterator: Iterator[Trace], epoch: int
-    ) -> "Future[Optional[Trace]]":
-        if pool is not None:
-            return pool.submit(self._produce, iterator, epoch)
-        future: "Future[Optional[Trace]]" = Future()
-        future.set_result(self._produce(iterator, epoch))
-        return future
+            return self.conditions.transform(trace, epoch)
 
     # ------------------------------------------------------------------ #
     # the loop
@@ -262,15 +221,12 @@ class StreamingEngine:
         """
         if start_epoch < 0:
             raise ValueError(f"start_epoch must be >= 0, got {start_epoch}")
-        pool = ThreadPoolExecutor(max_workers=1) if self.pipelined else None
         try:
             return self._run_loop(
-                pool, max_epochs, start_epoch, loop_state,
+                max_epochs, start_epoch, loop_state,
                 record_hook, epoch_hook, should_stop,
             )
         finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
             if close_on_exit:
                 self.close()
 
@@ -305,7 +261,6 @@ class StreamingEngine:
 
     def _run_loop(
         self,
-        pool: Optional[ThreadPoolExecutor],
         max_epochs: Optional[int],
         start_epoch: int,
         loop_state: Optional[Dict[str, Any]],
@@ -339,27 +294,15 @@ class StreamingEngine:
             iterator = iter(self.source)
         start = time.perf_counter()
         epoch = start_epoch
-        pending: Optional["Future[Optional[Trace]]"] = None
-        if max_epochs is None or max_epochs > epoch:
-            pending = self._submit(pool, iterator, epoch)
-        while pending is not None:
-            trace = pending.result()
+        while max_epochs is None or epoch < max_epochs:
+            trace = self._produce(iterator, epoch)
             if trace is None:
                 break
-            # Double buffering: epoch k+1 is generated while k is analysed —
-            # unless max_epochs says it would only be thrown away.
-            pending = (
-                self._submit(pool, iterator, epoch + 1)
-                if max_epochs is None or epoch + 1 < max_epochs
-                else None
-            )
-            result = self.system.run_epoch(trace)
-            # Only spans belonging to epochs <= this one: the pipelined
-            # producer may have already completed epoch+1's generate span.
-            spans = self._tracer.drain(upto_epoch=epoch)
             num_flows = len(trace)
+            summary.peak_resident_flows = max(summary.peak_resident_flows, num_flows)
+            result = self.system.run_epoch(trace)
+            spans = self._tracer.drain()
             packets = trace.num_packets()
-            self._resident.remove(num_flows)
 
             accuracy = result.loss_accuracy()
             f1_window.append(accuracy["f1"])
@@ -401,22 +344,12 @@ class StreamingEngine:
             if epoch_hook is not None:
                 epoch_hook(epoch, record)
             if should_stop is not None and should_stop():
-                self._discard(pending)
                 break
         summary.wall_seconds = time.perf_counter() - start
-        summary.peak_resident_flows = self._resident.peak
         if summary.epochs:
             summary.mean_f1 = totals["f1"] / summary.epochs
             summary.mean_are = totals["are"] / summary.epochs
         return summary
-
-    def _discard(self, pending: Optional["Future[Optional[Trace]]"]) -> None:
-        """Drain an in-flight production future on early stop."""
-        if pending is None:
-            return
-        trace = pending.result()
-        if trace is not None:
-            self._resident.remove(len(trace))
 
     # ------------------------------------------------------------------ #
     # checkpoint support (repro.service)

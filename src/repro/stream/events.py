@@ -51,6 +51,12 @@ class LinkFailureEvent(StreamEvent):
     endpoint_b: NodeId = ("host", 0)
     loss_rate: float = 1.0
 
+    def __post_init__(self) -> None:
+        # Checked here, not in the engine: it builds the fault lazily, when
+        # the event's epoch comes round mid-run.
+        if not 0.0 <= self.loss_rate <= 1.0:
+            raise ValueError("loss_rate must be in [0, 1]")
+
     def fault(self) -> LinkFailure:
         return LinkFailure(self.endpoint_a, self.endpoint_b, self.loss_rate)
 
@@ -125,9 +131,9 @@ class NetworkConditions:
     Owned by the engine's *generation* side: events mutate it, and
     :meth:`transform` rewrites each freshly produced trace accordingly.  It
     keeps its own :class:`EcmpRouter` (seeded like the simulator's, hence
-    identical paths) so the generation pipeline never shares mutable state
-    with the analysis pipeline — that independence is what makes the
-    double-buffered engine bit-identical to the serial one.
+    identical paths), and analysis never reads its state.  That is what lets
+    a resumed run rebuild it with :meth:`fast_forward` instead of storing it
+    in the checkpoint.
     """
 
     def __init__(self, topology: FatTreeTopology, seed: int = 0) -> None:

@@ -104,7 +104,7 @@ class SyntheticSource(TraceSource):
     Each epoch's trace is generated lazily from the phase active at that
     epoch, with a deterministic per-epoch seed (``seed + 101 * epoch``, the
     same derivation the Figure 9 timeline uses) — so two iterations, or a
-    serial and a pipelined engine run, see identical traffic.
+    resumed and an uninterrupted engine run, see identical traffic.
     """
 
     phases: Sequence[Phase]
@@ -362,6 +362,10 @@ class TraceFileSource(TraceSource):
         self.format = self.format or _infer_format(self.path)
         if self.format not in ("jsonl", "csv", "binary"):
             raise ValueError(f"unsupported trace format '{self.format}'")
+        if self.flows_per_epoch is not None and self.flows_per_epoch < 1:
+            raise ValueError(
+                f"flows_per_epoch must be >= 1, got {self.flows_per_epoch}"
+            )
 
     def __len__(self) -> int:
         if self.format == "binary":

@@ -66,7 +66,6 @@ def make_engine(seed, sinks=(), epochs=6, flows=120, chaos=None, metrics=None):
         sinks=sinks,
         resources=RESOURCES,
         seed=seed,
-        pipelined=True,
         rolling_window=4,
         chaos=chaos,
         metrics=metrics,

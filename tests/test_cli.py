@@ -423,6 +423,14 @@ class TestServeCommand:
         assert main(["serve", "--phases", "50:0.0:1", "--quiet", flag, value]) == 2
         assert f"error: {name}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("loss", ["1.5", "-0.5"])
+    def test_serve_rejects_fail_loss_outside_unit_interval(self, capsys, loss):
+        assert main([
+            "serve", "--phases", "50:0.0:1", "--quiet",
+            "--fail-epoch", "0", "--fail-loss", loss,
+        ]) == 2
+        assert "error: loss_rate must be in [0, 1]" in capsys.readouterr().err
+
 
 class TestTraceCommand:
     """The trace inspect/convert surface over the columnar trace plane."""
@@ -483,6 +491,24 @@ class TestTraceCommand:
             handle.write(b"RTRC" + b"\0" * 20)  # header only, no manifest
         assert main(["trace", "inspect", path]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["serve", "convert", "inspect"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_rejects_flows_per_epoch_below_one(self, capsys, tmp_path, command, value):
+        flat = str(tmp_path / "flat.jsonl")
+        with open(flat, "w") as handle:
+            for index in range(10):
+                handle.write(json.dumps({"flow_id": index + 1, "size": 5}) + "\n")
+        args = {
+            "serve": ["serve", "--trace", flat, "--quiet"],
+            "convert": ["trace", "convert", flat, str(tmp_path / "flat.rtbin")],
+            "inspect": ["trace", "inspect", flat],
+        }[command]
+        assert main([*args, "--flows-per-epoch", value]) == 2
+        assert (
+            f"error: flows_per_epoch must be >= 1, got {value}"
+            in capsys.readouterr().err
+        )
 
     def test_convert_unknown_extension(self, capsys, tmp_path):
         jsonl = self._write_jsonl(tmp_path)

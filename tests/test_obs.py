@@ -39,7 +39,7 @@ RESOURCES = SwitchResources.scaled(0.05)
 
 def make_engine(source, **kwargs):
     return StreamingEngine(
-        source, resources=RESOURCES, seed=3, pipelined=False, **kwargs
+        source, resources=RESOURCES, seed=3, **kwargs
     )
 
 
@@ -200,23 +200,6 @@ class TestStageTracer:
         (span,) = tracer.drain()
         assert span.epoch == 4
 
-    def test_drain_upto_epoch_leaves_future_spans_pending(self):
-        tracer = StageTracer()
-        with tracer.span("epoch", epoch=0):
-            pass
-        with tracer.span("generate", epoch=1):
-            pass
-        drained = tracer.drain(upto_epoch=0)
-        assert [s.epoch for s in drained] == [0]
-        assert tracer.pending == 1
-        assert [s.epoch for s in tracer.drain(upto_epoch=1)] == [1]
-
-    def test_unstamped_spans_always_drain(self):
-        tracer = StageTracer()
-        with tracer.span("setup"):
-            pass
-        assert len(tracer.drain(upto_epoch=0)) == 1
-
     def test_null_tracer_is_inert(self):
         with NULL_TRACER.span("anything"):
             pass
@@ -251,12 +234,14 @@ class TestJsonlSpanSink:
 
     def test_one_compact_json_object_per_line(self, tmp_path):
         tracer = StageTracer()
+        drained = []
         for epoch in (0, 1):
             tracer.set_epoch(epoch)
             with tracer.span("epoch"):
                 with tracer.span("decode"):
                     pass
-        first, second = tracer.drain(upto_epoch=0), tracer.drain()
+            drained.append(tracer.drain())
+        first, second = drained
         path = tmp_path / "spans.jsonl"
         sink = JsonlSpanSink(str(path))
         sink.write(iter(first))
@@ -431,8 +416,7 @@ def _run(seed, observed=False, epochs=3, tmp_path=None):
             ),
         }
     engine = StreamingEngine(
-        source, sinks=[sink], resources=RESOURCES, seed=seed,
-        pipelined=True, **kwargs,
+        source, sinks=[sink], resources=RESOURCES, seed=seed, **kwargs,
     )
     engine.run()
     return sink.records
@@ -470,7 +454,7 @@ class TestIdentity:
                 if observed else {}
             )
             engine = StreamingEngine(
-                source, resources=RESOURCES, seed=4, pipelined=False, **kwargs
+                source, resources=RESOURCES, seed=4, **kwargs
             )
             path = str(tmp_path / f"ck{int(observed)}.rtck")
             service = TelemetryService(engine, checkpoint_path=path)
@@ -515,8 +499,7 @@ class TestOneClock:
         )
         sink = MemorySink()
         engine = StreamingEngine(
-            source, sinks=[sink], resources=RESOURCES, seed=seed, pipelined=True,
-            tracer=tracer,
+            source, sinks=[sink], resources=RESOURCES, seed=seed, tracer=tracer,
         )
         engine.run()
         return sink.records, engine

@@ -75,7 +75,6 @@ def make_engine(seed, sinks=(), epochs=8, events=FAULTS, flows=150):
         sinks=sinks,
         resources=RESOURCES,
         seed=seed,
-        pipelined=True,
         rolling_window=4,
     )
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import threading
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.stream import (
     StreamingEngine,
     SyntheticSource,
     TraceFileSource,
+    TraceSource,
     comparable,
     write_trace_file,
 )
@@ -31,16 +33,31 @@ from repro.stream import (
 RESOURCES = SwitchResources.scaled(0.05)
 
 
-def make_engine(source, events=(), sinks=(), pipelined=False, **kwargs):
+def make_engine(source, events=(), sinks=(), **kwargs):
     return StreamingEngine(
         source,
         events=events,
         sinks=sinks,
         resources=RESOURCES,
         seed=3,
-        pipelined=pipelined,
         **kwargs,
     )
+
+
+class CountingSource(TraceSource):
+    """Another source's epochs, counting the traces drawn; raises at ``fail_at``."""
+
+    def __init__(self, source, fail_at=None):
+        self.source = source
+        self.fail_at = fail_at
+        self.drawn = 0
+
+    def epochs(self):
+        for epoch, trace in enumerate(self.source):
+            if epoch == self.fail_at:
+                raise OSError(f"source failed at epoch {epoch}")
+            self.drawn += 1
+            yield trace
 
 
 # --------------------------------------------------------------------------- #
@@ -284,16 +301,6 @@ class TestStreamingEngine:
             LinkRecoveryEvent(epoch=4, endpoint_a=edge, endpoint_b=host),
         ]
 
-    def test_pipelined_bit_identical_to_serial(self):
-        records = {}
-        for pipelined in (False, True):
-            sink = MemorySink()
-            engine = make_engine(self.source(), events=self.events(), sinks=[sink],
-                                 pipelined=pipelined)
-            engine.run()
-            records[pipelined] = [comparable(r) for r in sink.records]
-        assert records[True] == records[False]
-
     def test_events_change_the_stream(self):
         with_sink, without_sink = MemorySink(), MemorySink()
         make_engine(self.source(), events=self.events(), sinks=[with_sink]).run()
@@ -307,13 +314,43 @@ class TestStreamingEngine:
     def test_bounded_memory_over_fifty_epochs(self):
         flows = 60
         source = SyntheticSource.steady(num_flows=flows, epochs=50, victim_ratio=0.1, seed=2)
-        engine = make_engine(source, pipelined=True)
+        engine = make_engine(source)
         summary = engine.run()
         assert summary.epochs == 50
-        # O(epoch), not O(run): at most ~2 epochs of flows ever resident,
-        # and the facade's result history stays capped.
-        assert summary.peak_resident_flows <= 2 * flows
+        # O(epoch), not O(run): one epoch of flows resident at a time, and
+        # the facade's result history stays capped.
+        assert summary.peak_resident_flows == flows
         assert len(engine.system.results) <= 2
+
+    def test_peak_resident_is_the_largest_epoch(self):
+        source = SyntheticSource(
+            phases=(Phase(epochs=2, num_flows=60), Phase(epochs=2, num_flows=120)),
+            seed=2,
+        )
+        assert make_engine(source).run().peak_resident_flows == 120
+
+    def test_runs_on_the_callers_thread_only(self):
+        before = threading.active_count()
+        counts = []
+        engine = StreamingEngine(self.source(epochs=3), resources=RESOURCES)
+        engine.run(record_hook=lambda *_: counts.append(threading.active_count()))
+        assert counts == [before] * 3
+
+    def test_stop_draws_no_trace_past_the_last_record(self):
+        source = CountingSource(self.source())
+        sink = MemorySink()
+        make_engine(source, sinks=[sink]).run(
+            should_stop=lambda: len(sink.records) >= 2
+        )
+        assert len(sink.records) == 2
+        assert source.drawn == 2
+
+    def test_source_error_keeps_the_records_before_it(self):
+        sink = MemorySink()
+        engine = make_engine(CountingSource(self.source(), fail_at=2), sinks=[sink])
+        with pytest.raises(OSError, match="epoch 2"):
+            engine.run()
+        assert [record["epoch"] for record in sink.records] == [0, 1]
 
     def test_summary_totals_and_rates(self):
         sink = MemorySink()
