@@ -233,17 +233,3 @@ class ChameleMon:
                 unchanged = 0
             previous_config = next_config
         return results
-
-    def epochs_to_adapt(self, results: Optional[List[EpochResult]] = None) -> int:
-        """How many epochs the last run needed before the configuration settled."""
-        history = results if results is not None else self.results
-        if not history:
-            return 0
-        final = history[-1].next_config
-        adapt = len(history)
-        for index in range(len(history) - 1, -1, -1):
-            if history[index].next_config == final:
-                adapt = index
-            else:
-                break
-        return adapt

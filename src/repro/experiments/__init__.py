@@ -11,9 +11,6 @@ from .accumulation import (
 from .attention import (
     AttentionPoint,
     AttentionSweep,
-    TimelineEpoch,
-    TimelineResult,
-    run_timeline,
     stable_point,
     sweep_num_flows,
     sweep_victim_ratio,
@@ -34,15 +31,12 @@ __all__ = [
     "LossDetectionMeasurement",
     "SCHEMES",
     "TASK_ALGORITHMS",
-    "TimelineEpoch",
-    "TimelineResult",
     "build_sketch",
     "compare_schemes",
     "evaluate_tasks",
     "insert_trace",
     "measure",
     "minimum_memory",
-    "run_timeline",
     "stable_point",
     "sweep_num_flows",
     "sweep_victim_ratio",

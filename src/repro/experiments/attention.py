@@ -1,14 +1,15 @@
-"""Figure 7–9 / 14–19 experiment drivers: shifting measurement attention.
+"""Figure 7, 8 and 14–19 experiment drivers: shifting measurement attention.
 
-Two protocols from the paper's testbed evaluation are reproduced:
+The paper's testbed evaluation has two protocols:
 
 * **Sweeps** (Figures 7, 8, 14–19): for each x-value (number of flows, or
   ratio of victim flows) run the same workload epoch after epoch until the
   configuration stabilises, then record the memory division, the decoded flow
   counts, the thresholds and the sample rate.
-* **Timeline** (Figure 9): run one long window over a schedule of network
-  states and record, per epoch, the same observables plus how many epochs each
-  shift took.
+* **Timeline** (Figure 9): one long window over a schedule of network
+  states.  It is not driven here: it is the ``fig9`` scenario
+  (:mod:`repro.scenarios.catalog`), which runs on the streaming engine like
+  ``stream_timeline``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.runner import ChameleMon, EpochResult
+from ..core.runner import ChameleMon
 from ..dataplane.config import SwitchResources
 from ..traffic.generator import generate_workload
 
@@ -155,96 +156,3 @@ def sweep_victim_ratio(
             )
         )
     return sweep
-
-
-@dataclass
-class TimelineEpoch:
-    """Per-epoch record of the Figure 9 timeline experiment."""
-
-    epoch: int
-    num_flows: int
-    victim_ratio: float
-    level: str
-    memory_division: Dict[str, float]
-    decoded_flows: Dict[str, int]
-    threshold_high: int
-    threshold_low: int
-    sample_rate: float
-    loss_f1: float = 0.0
-
-
-@dataclass
-class TimelineResult:
-    epochs: List[TimelineEpoch] = field(default_factory=list)
-    shift_epochs: List[int] = field(default_factory=list)
-
-    def max_shift_epochs(self) -> int:
-        return max(self.shift_epochs, default=0)
-
-
-def run_timeline(
-    workload: str = "DCTCP",
-    schedule: Sequence[Tuple[int, float]] = (
-        (2000, 0.05),
-        (4000, 0.05),
-        (6000, 0.10),
-        (8000, 0.15),
-        (8000, 0.25),
-        (8000, 0.15),
-        (6000, 0.10),
-        (4000, 0.05),
-        (2000, 0.05),
-    ),
-    epochs_per_stage: int = 5,
-    loss_rate: float = 0.05,
-    scale: float = 0.1,
-    resources: Optional[SwitchResources] = None,
-    seed: int = 0,
-) -> TimelineResult:
-    """Figure 9: one long window in which the network state changes repeatedly.
-
-    ``schedule`` lists ``(num_flows, victim_ratio)`` stages, each lasting
-    ``epochs_per_stage`` epochs.  The result records per-epoch observables and,
-    for every stage change, how many epochs ChameleMon needed before its
-    configuration stopped changing (the paper reports at most 3).
-    """
-    if epochs_per_stage < 1:
-        raise ValueError("epochs_per_stage must be at least 1")
-    resources = resources or SwitchResources.scaled(scale)
-    system = ChameleMon(resources=resources, seed=seed)
-    result = TimelineResult()
-    epoch_index = 0
-    for stage_index, (num_flows, victim_ratio) in enumerate(schedule):
-        stage_results: List[EpochResult] = []
-        for stage_epoch in range(epochs_per_stage):
-            trace = generate_workload(
-                workload,
-                num_flows=num_flows,
-                victim_ratio=victim_ratio,
-                loss_rate=loss_rate,
-                num_hosts=system.num_hosts,
-                seed=seed + 101 * epoch_index,
-            )
-            epoch_result = system.run_epoch(trace)
-            stage_results.append(epoch_result)
-            result.epochs.append(
-                TimelineEpoch(
-                    epoch=epoch_index,
-                    num_flows=num_flows,
-                    victim_ratio=victim_ratio,
-                    level=epoch_result.level.value,
-                    memory_division=epoch_result.memory_division(),
-                    decoded_flows=epoch_result.decoded_flow_counts(),
-                    threshold_high=epoch_result.config.threshold_high,
-                    threshold_low=epoch_result.config.threshold_low,
-                    sample_rate=epoch_result.config.sample_rate,
-                    loss_f1=epoch_result.loss_accuracy()["f1"],
-                )
-            )
-            epoch_index += 1
-        if stage_index > 0:
-            # epochs_to_adapt is the index of the stage's first settled epoch;
-            # the shift took that epoch too.
-            result.shift_epochs.append(system.epochs_to_adapt(stage_results) + 1)
-    return result
-

@@ -4,7 +4,10 @@ Each ``@scenario`` below is the single implementation of one figure of the
 paper (or one DESIGN.md ablation).  The CLI (``python -m repro.cli run``),
 the ``benchmarks/test_fig*.py`` suites, and the examples all execute these
 definitions through :class:`repro.scenarios.SweepRunner` — there is no other
-per-figure sweep loop in the repository.
+per-figure sweep loop in the repository.  Nor is there a second epoch loop:
+the attention sweeps run ``ChameleMon.run_until_stable``, and Figure 9's
+timeline runs on the streaming engine, built by the same helper as
+``stream_timeline``'s.
 
 Point functions are pure given ``(params, seed)`` and live at module top
 level so the process-pool runner can dispatch them by scenario name.
@@ -223,6 +226,48 @@ def fig8_point(params: Dict[str, Any], seed: int) -> List[Dict[str, Any]]:
     return [_attention_row(point)]
 
 
+def _schedule_engine(params: Dict[str, Any], seed: int, **options):
+    """The streaming engine over ``params``' ``(flows, victim_ratio)`` schedule.
+
+    Returns the engine and the :class:`~repro.stream.MemorySink` that keeps
+    its records.  fig9 and stream_timeline both run through it.
+    """
+    from ..dataplane.config import SwitchResources
+    from ..stream import MemorySink, StreamingEngine, SyntheticSource
+
+    source = SyntheticSource.from_schedule(
+        tuple(tuple(stage) for stage in params["schedule"]),
+        epochs_per_stage=params["epochs_per_stage"],
+        loss_rate=params["loss_rate"],
+        workload=params["workload"],
+        seed=seed,
+    )
+    sink = MemorySink()
+    engine = StreamingEngine(
+        source,
+        sinks=[sink],
+        resources=SwitchResources.scaled(params["scale"]),
+        seed=seed,
+        **options,
+    )
+    return engine, sink
+
+
+#: Record fields a Figure 9 row carries under the same name.
+_FIG9_RECORD_FIELDS = (
+    "level", "mem_hh", "mem_hl", "mem_ll",
+    "threshold_high", "threshold_low", "sample_rate", "loss_f1",
+)
+
+
+def _epochs_to_settle(decided: List[Any]) -> int:
+    """Epochs up to and including the first from which ``decided`` stays at its last value."""
+    settled = len(decided) - 1
+    while settled > 0 and decided[settled - 1] == decided[-1]:
+        settled -= 1
+    return settled + 1
+
+
 @scenario(
     "fig9",
     title="measurement attention timeline over changing network state",
@@ -248,38 +293,36 @@ def fig8_point(params: Dict[str, Any], seed: int) -> List[Dict[str, Any]]:
     tags=("figure", "attention"),
 )
 def fig9_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
-    """Figure 9: one long window across 8 network-state changes."""
-    from ..experiments.attention import run_timeline
+    """Figure 9: one long window across 8 network-state changes.
 
-    timeline = run_timeline(
-        workload=params["workload"],
-        schedule=tuple(tuple(stage) for stage in params["schedule"]),
-        epochs_per_stage=params["epochs_per_stage"],
-        loss_rate=params["loss_rate"],
-        scale=params["scale"],
-        seed=seed,
-    )
+    The window runs on the streaming engine.  A stage's shift is how many of
+    its epochs the controller took to settle: through the first epoch from
+    which the configuration it decides stays at the stage's final one.
+    """
+    if params["epochs_per_stage"] < 1:
+        raise ValueError("epochs_per_stage must be at least 1")
+    engine, sink = _schedule_engine(params, seed)
+    decided = []
+    engine.run(record_hook=lambda epoch, record, result: decided.append(result.next_config))
     rows = [
         {
-            "epoch": epoch.epoch,
-            "flows": epoch.num_flows,
-            "victim_ratio": epoch.victim_ratio,
-            "level": epoch.level,
-            "mem_hh": epoch.memory_division["hh"],
-            "mem_hl": epoch.memory_division["hl"],
-            "mem_ll": epoch.memory_division["ll"],
-            "threshold_high": epoch.threshold_high,
-            "threshold_low": epoch.threshold_low,
-            "sample_rate": epoch.sample_rate,
-            "loss_f1": epoch.loss_f1,
+            "epoch": record["epoch"],
+            "flows": record["num_flows"],
+            "victim_ratio": engine.source.phase_at(record["epoch"]).victim_ratio,
+            **{key: record[key] for key in _FIG9_RECORD_FIELDS},
         }
-        for epoch in timeline.epochs
+        for record in sink.records
+    ]
+    per_stage = params["epochs_per_stage"]
+    shift_epochs = [
+        _epochs_to_settle(decided[start:start + per_stage])
+        for start in range(per_stage, len(decided), per_stage)
     ]
     return {
         "rows": rows,
         "extras": {
-            "shift_epochs": list(timeline.shift_epochs),
-            "max_shift_epochs": timeline.max_shift_epochs(),
+            "shift_epochs": shift_epochs,
+            "max_shift_epochs": max(shift_epochs, default=0),
         },
     }
 
@@ -489,6 +532,8 @@ def overheads_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     from ..network.simulator import build_testbed_simulator
     from ..traffic.generator import generate_workload
 
+    if params["reconfig_samples"] < 1:
+        raise ValueError("reconfig_samples must be at least 1")
     resources = SwitchResources()  # full testbed configuration for the model
     collection = CollectionModel(resources)
     rows: List[Dict[str, Any]] = []
@@ -728,6 +773,8 @@ def fabric_scale_point(params: Dict[str, Any], seed: int) -> List[Dict[str, Any]
     from ..sketches.fermat import MERSENNE_PRIME_61
     from ..traffic.generator import generate_workload
 
+    if params["epochs"] < 1:
+        raise ValueError("epochs must be at least 1")
     system = ChameleMon(
         resources=SwitchResources.scaled(params["scale"]),
         seed=seed,
@@ -794,24 +841,7 @@ def _stream_output(records, summary) -> Dict[str, Any]:
 )
 def stream_timeline_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     """Figure 9's changing network state, driven through the streaming engine."""
-    from ..dataplane.config import SwitchResources
-    from ..stream import MemorySink, StreamingEngine, SyntheticSource
-
-    source = SyntheticSource.from_schedule(
-        tuple(tuple(stage) for stage in params["schedule"]),
-        epochs_per_stage=params["epochs_per_stage"],
-        loss_rate=params["loss_rate"],
-        workload=params["workload"],
-        seed=seed,
-    )
-    sink = MemorySink()
-    engine = StreamingEngine(
-        source,
-        sinks=[sink],
-        resources=SwitchResources.scaled(params["scale"]),
-        seed=seed,
-        rolling_window=params["rolling_window"],
-    )
+    engine, sink = _schedule_engine(params, seed, rolling_window=params["rolling_window"])
     summary = engine.run()
     return _stream_output(sink.records, summary)
 
@@ -856,6 +886,8 @@ def stream_failover_point(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
         seed=seed,
     )
     topology = FatTreeTopology.testbed()
+    if not 0 <= params["fail_host"] < topology.num_hosts:
+        raise ValueError(f"fail_host must be in [0, {topology.num_hosts})")
     edge = topology.edge_switch_of_host(params["fail_host"])
     host = topology.host(params["fail_host"])
     events = [
@@ -1184,6 +1216,8 @@ def demo_point(params: Dict[str, Any], seed: int) -> List[Dict[str, Any]]:
     from ..dataplane.config import SwitchResources
     from ..traffic.generator import generate_workload
 
+    if params["epochs"] < 1:
+        raise ValueError("epochs must be at least 1")
     system = ChameleMon(resources=SwitchResources.scaled(params["scale"]), seed=seed)
     rows = []
     for epoch in range(params["epochs"]):

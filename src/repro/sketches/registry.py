@@ -64,7 +64,8 @@ def build(name: str, *, memory_bytes: Optional[int] = None, seed: int = 0, **kwa
 
     Keyword arguments a builder's signature does not accept are dropped, so a
     single configuration can be applied across algorithms with different
-    knobs.  Unknown names raise ``KeyError`` listing the registry contents.
+    knobs.  Unknown names raise ``KeyError`` listing the registry contents;
+    a given ``memory_bytes`` of 0 or less raises ``ValueError``.
     """
     try:
         builder = _BUILDERS[name]
@@ -72,6 +73,8 @@ def build(name: str, *, memory_bytes: Optional[int] = None, seed: int = 0, **kwa
         raise KeyError(
             f"unknown sketch '{name}'; available: {', '.join(available())}"
         ) from None
+    if memory_bytes is not None and memory_bytes <= 0:
+        raise ValueError(f"sketch '{name}' needs a positive memory_bytes, got {memory_bytes}")
     if memory_bytes is None:
         # Builders whose memory_bytes parameter has no default require it;
         # the rest (fermat, flowradar, ...) accept alternate sizing kwargs

@@ -9,7 +9,7 @@ Three families of sources cover the streaming scenarios:
 
 * :class:`SyntheticSource` — phase-scheduled synthetic workloads whose flow
   count, victim ratio, loss rate, and size distribution change mid-stream
-  (the live analogue of the Figure 9 schedule);
+  (the ``fig9`` and ``stream_timeline`` scenarios run on it);
 * :class:`TraceFileSource` — trace-file replay.  The binary epoch store
   (``.rtbin``, :mod:`repro.traffic.store`) replays with **zero parsing**:
   epochs are read-only mmap views handed straight to the columnar pipeline.
@@ -102,9 +102,10 @@ class SyntheticSource(TraceSource):
     """Phase-scheduled synthetic workload generator.
 
     Each epoch's trace is generated lazily from the phase active at that
-    epoch, with a deterministic per-epoch seed (``seed + 101 * epoch``, the
-    same derivation the Figure 9 timeline uses) — so two iterations, or a
-    resumed and an uninterrupted engine run, see identical traffic.
+    epoch, with a deterministic per-epoch seed (``seed + 101 * epoch``) — so
+    two iterations, or a resumed and an uninterrupted engine run, see
+    identical traffic.  The Figure 9 timeline (the ``fig9`` scenario) runs
+    on it, built with :meth:`from_schedule`.
     """
 
     phases: Sequence[Phase]

@@ -139,7 +139,7 @@ def get_distribution(name: str) -> FlowSizeDistribution:
     """Look up a workload distribution by name (case-insensitive)."""
     key = name.upper()
     if key not in _CDF_CONTROL_POINTS:
-        raise KeyError(
+        raise ValueError(
             f"unknown workload '{name}'; choose one of {', '.join(WORKLOAD_NAMES)}"
         )
     return FlowSizeDistribution(key, tuple(_CDF_CONTROL_POINTS[key]))

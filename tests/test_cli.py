@@ -131,6 +131,21 @@ class TestRegistryCommands:
         ("fig9", "epochs_per_stage=0", "epochs_per_stage must be at least 1"),
         ("fig5", "loss_rate=3", "loss_rate must be in [0, 1]"),
         ("fig4", "loss_rate=-1", "loss_rate must be in [0, 1]"),
+        ("fig9", "schedule=", "SyntheticSource needs at least one phase"),
+        *[
+            (name, "workload=NOPE",
+             "unknown workload 'NOPE'; choose one of CACHE, DCTCP, HADOOP, VL2")
+            for name in ("fig7", "fig9", "stream_timeline", "demo", "workloads")
+        ],
+        ("overheads", "reconfig_samples=0", "reconfig_samples must be at least 1"),
+        ("stream_failover", "fail_host=99", "fail_host must be in [0, 8)"),
+        ("stream_failover", "fail_host=-1", "fail_host must be in [0, 8)"),
+        ("ablation_classifier", "memory_kb=0",
+         "sketch 'tower' needs a positive memory_bytes, got 0"),
+        ("ablation_classifier", "memory_kb=-4",
+         "sketch 'tower' needs a positive memory_bytes, got -4000"),
+        ("demo", "epochs=-1", "epochs must be at least 1"),
+        ("fabric_scale", "epochs=0", "epochs must be at least 1"),
     ])
     def test_run_rejects_invalid_values(self, capsys, scenario, override, message):
         assert main(["run", scenario, "--set", override, "--quiet"]) == 2

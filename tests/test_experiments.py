@@ -8,8 +8,9 @@ from repro.experiments.accumulation import (
     build_sketch,
     evaluate_tasks,
 )
-from repro.experiments.attention import run_timeline, sweep_num_flows, sweep_victim_ratio
+from repro.experiments.attention import sweep_num_flows, sweep_victim_ratio
 from repro.experiments.loss_detection import SCHEMES, compare_schemes, measure, minimum_memory
+from repro.scenarios import run_scenario
 from repro.traffic.generator import generate_caida_like_trace
 
 
@@ -134,12 +135,15 @@ class TestAttentionExperiment:
         assert sweep.points[0].victim_ratio == 0.05
 
     def test_timeline_records_every_epoch(self):
-        timeline = run_timeline(
-            schedule=((200, 0.05), (600, 0.2), (200, 0.05)),
-            epochs_per_stage=2,
-            scale=0.05,
+        timeline = run_scenario(
+            "fig9",
+            overrides=dict(
+                schedule=((200, 0.05), (600, 0.2), (200, 0.05)),
+                epochs_per_stage=2,
+                scale=0.05,
+            ),
             seed=3,
         )
-        assert len(timeline.epochs) == 6
-        assert len(timeline.shift_epochs) == 2
-        assert timeline.max_shift_epochs() <= 2
+        assert len(timeline.rows()) == 6
+        assert len(timeline.extras()["shift_epochs"]) == 2
+        assert timeline.extras()["max_shift_epochs"] <= 2

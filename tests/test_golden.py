@@ -14,6 +14,9 @@ The matrix, each at seeds 0, 1 and 2:
 * ``records/<scenario>`` -- the timing-stripped rows (``comparable_records``)
   of the smoke point of eight registered scenarios.  fig4's ``*_ms`` columns
   are decode wall times and are dropped.
+* ``fig9/default`` -- the rows and extras (every stage's ``shift_epochs``) of
+  fig9's default 36-epoch point: the smoke point has a single shift, too weak
+  a pin for Figure 9's headline count.
 * ``serve/records`` and ``serve/checkpoint`` -- the ``serve`` command with the
   CI smoke flags plus ``--jsonl`` and ``--checkpoint``: its JSONL records and
   its final ``comparable_checkpoint``.
@@ -108,6 +111,11 @@ def _scenario_records(name: str, seed: int):
         {key: value for key, value in row.items() if key not in WALL_TIME_COLUMNS}
         for row in comparable_records(result.rows())
     ]
+
+
+def _fig9_default(seed: int):
+    result = run_scenario("fig9", seed=seed)
+    return {"rows": comparable_records(result.rows()), "extras": result.extras()}
 
 
 def _serve_smoke(seed: int, tmp_dir: str):
@@ -261,6 +269,7 @@ def _compute_digests(tmp_dir: str):
     for seed in SEEDS:
         for name in SCENARIOS:
             digests[f"records/{name}/seed{seed}"] = _digest(_scenario_records(name, seed))
+        digests[f"fig9/default/seed{seed}"] = _digest(_fig9_default(seed))
         records, checkpoint = _serve_smoke(seed, tmp_dir)
         digests[f"serve/records/seed{seed}"] = _digest(records)
         digests[f"serve/checkpoint/seed{seed}"] = _digest(checkpoint)

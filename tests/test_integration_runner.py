@@ -130,14 +130,6 @@ class TestRunHelpers:
         assert 1 <= len(results) <= 8
         assert results[-1].next_config == results[-2].next_config if len(results) > 1 else True
 
-    def test_epochs_to_adapt(self):
-        system = make_system(seed=11)
-        results = [
-            system.run_epoch(trace_for(system, 400, 0.1, seed=300 + epoch))
-            for epoch in range(4)
-        ]
-        assert 0 <= system.epochs_to_adapt(results) <= 4
-
     def test_history_recorded(self):
         system = make_system(seed=12)
         system.run_epoch(trace_for(system, 100, 0.0, seed=400))

@@ -44,7 +44,7 @@ class TestDistributions:
         assert set(WORKLOAD_NAMES) == {"CACHE", "DCTCP", "HADOOP", "VL2"}
 
     def test_unknown_workload_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown workload 'NOPE'"):
             get_distribution("NOPE")
 
     def test_samples_positive_and_bounded(self):
