@@ -5,6 +5,12 @@ against inserting the same flows one at a time, on a Zipf (CAIDA-like)
 trace, and must be several times faster.  That the batched epoch pipeline
 computes the right sketch state is pinned by the golden digests of
 ``tests/test_golden.py``.
+
+Each side is timed best-of-:data:`REPEATS`, the two sides interleaved: one
+cold pass per side reads the machine's speed of the moment as much as the
+insert path (a shared VM's speed swings by ~40% between passes), and the
+best pass of each side, taken in the same noise environment, is the
+closest either gets to its own cost.
 """
 
 import time
@@ -16,6 +22,9 @@ from repro.sketches.cm import CountMinSketch
 from repro.sketches.fermat import FermatSketch
 from repro.sketches.tower import TowerSketch
 from repro.traffic.generator import generate_caida_like_trace
+
+#: Interleaved best-of-N passes per side (see the module docstring).
+REPEATS = 3
 
 
 @pytest.mark.parametrize(
@@ -35,16 +44,19 @@ def test_sketch_insert_batch_speedup(name, min_speedup, make):
     ids = [flow.flow_id for flow in trace.flows]
     sizes = [flow.size for flow in trace.flows]
 
-    scalar = make()
-    start = time.perf_counter()
-    for flow_id, size in zip(ids, sizes):
-        scalar.insert(flow_id, size)
-    scalar_seconds = time.perf_counter() - start
+    scalar_passes, batched_passes = [], []
+    for _ in range(REPEATS):
+        scalar = make()
+        start = time.perf_counter()
+        for flow_id, size in zip(ids, sizes):
+            scalar.insert(flow_id, size)
+        scalar_passes.append(time.perf_counter() - start)
 
-    batched = make()
-    start = time.perf_counter()
-    batched.insert_batch(ids, sizes)
-    batched_seconds = time.perf_counter() - start
+        batched = make()
+        start = time.perf_counter()
+        batched.insert_batch(ids, sizes)
+        batched_passes.append(time.perf_counter() - start)
+    scalar_seconds, batched_seconds = min(scalar_passes), min(batched_passes)
 
     speedup = scalar_seconds / max(batched_seconds, 1e-9)
     conftest.print_table(

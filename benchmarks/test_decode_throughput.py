@@ -13,10 +13,17 @@ has three decoders, each timed on its own copy of the sketch:
   tail to ``decode_scalar`` — and every prime at or above ``2**62`` outright,
   so on the ``2**127 - 1`` row it times the queue a second time.
 
+A fabric-HH row times the control plane's per-epoch HH decode on the k=8
+fabric's shape at every scale: 32 switches' HH parts decoded one by one
+(``decode_vectorized`` each) and together in one ``decode_many`` frontier,
+which must give every part the same flows, ``success``, ``remaining`` and
+residual state.
+
 The gate is the one this benchmark has always had: ``decode_vectorized`` runs
 at least :data:`MIN_FERMAT_SPEEDUP` times faster than the per-bucket reference
-at full scale.  The queue's ratios (reference/queue, queue/frontier) are
-reported in the table and the artifact, ungated.
+at full scale.  The queue's ratios (reference/queue, queue/frontier) and the
+fabric-HH row's one-by-one/batched ratio are reported in the table and the
+artifact, ungated.
 
 The measured rates are written to ``BENCH_decode_throughput.json`` (a
 serialized ``RunResult``) so the decode-throughput trajectory is tracked
@@ -31,7 +38,7 @@ import conftest
 from fermat_reference import reference_decode_scalar
 
 from repro.scenarios.results import RunResult
-from repro.sketches.fermat import MERSENNE_PRIME_127, FermatSketch
+from repro.sketches.fermat import MERSENNE_PRIME_127, FermatSketch, decode_many
 from repro.sketches.flowradar import FlowRadar
 from repro.sketches.lossradar import LossRadar
 from repro.traffic.generator import generate_caida_like_trace
@@ -39,6 +46,17 @@ from repro.traffic.generator import generate_caida_like_trace
 #: Minimum acceptable frontier-vs-reference decode speedup (FermatSketch, the
 #: control-plane hot path) at full scale.
 MIN_FERMAT_SPEEDUP = 5.0
+
+#: The k=8 fabric's HH decode: one HH part per edge switch, 717 buckets per
+#: array on the 61-bit prime with 20 fingerprint bits, and 5000 flows split
+#: over the switches (~156 each).  It is small, so it keeps this shape at
+#: every REPRO_SCALE.
+FABRIC_SWITCHES = 32
+FABRIC_HH_BUCKETS = 717
+FABRIC_FLOWS = 5000
+
+#: Best-of-N timings of the fabric-HH row (each pass decodes fresh copies).
+FABRIC_REPEATS = 3
 
 #: Machine-readable perf artifact, written next to the repository root.
 ARTIFACT_PATH = os.path.join(
@@ -122,6 +140,41 @@ def _fermat_row(name, num_flows, sketch):
     }
 
 
+def _fabric_hh_row():
+    """Decode the fabric's HH parts one by one and in one ``decode_many``
+    call; assert both give every part the same outcome, and time both."""
+    ids, sizes = _trace_arrays(FABRIC_FLOWS, seed=6)
+    parts = []
+    for k in range(FABRIC_SWITCHES):
+        part = FermatSketch(FABRIC_HH_BUCKETS, seed=7, fingerprint_bits=20)
+        part.insert_batch(ids[k::FABRIC_SWITCHES], sizes[k::FABRIC_SWITCHES])
+        parts.append(part)
+    alone_passes, batched_passes = [], []
+    for _ in range(FABRIC_REPEATS):
+        alone = [part.copy() for part in parts]
+        start = time.perf_counter()
+        alone_results = [part.decode_vectorized() for part in alone]
+        alone_passes.append(time.perf_counter() - start)
+        batched = [part.copy() for part in parts]
+        start = time.perf_counter()
+        batched_results = decode_many(batched)
+        batched_passes.append(time.perf_counter() - start)
+        for a, b, a_part, b_part in zip(alone_results, batched_results, alone, batched):
+            assert a.flows == b.flows, "batched HH decode diverged from per-part decodes"
+            assert (a.success, a.remaining) == (b.success, b.remaining)
+            assert _fermat_state(a_part) == _fermat_state(b_part)
+    alone_seconds, batched_seconds = min(alone_passes), min(batched_passes)
+    return {
+        "sketch": "fermat_fabric_hh",
+        "flows": FABRIC_FLOWS,
+        "parts": FABRIC_SWITCHES,
+        "vectorized_seconds": alone_seconds,
+        "batched_seconds": batched_seconds,
+        "alone_vs_batched": alone_seconds / max(batched_seconds, 1e-9),
+        "decode_success": all(result.success for result in batched_results),
+    }
+
+
 def test_decode_plane_identical_and_fast():
     num_flows = conftest.scaled(100_000)
     ids, sizes = _trace_arrays(num_flows)
@@ -145,6 +198,9 @@ def test_decode_plane_identical_and_fast():
     )
     fermat_wide.insert_batch(ids[:wide_flows], sizes[:wide_flows])
     rows.append(_fermat_row("fermat_p127", wide_flows, fermat_wide))
+
+    # FermatSketch, the k=8 fabric's 32 HH parts: one by one and batched.
+    rows.append(_fabric_hh_row())
 
     # FlowRadar at the paper's ~1.4 cells/flow operating point.  The flow
     # filter is sized generously (64 bits/flow) so no Bloom false positive
@@ -202,17 +258,20 @@ def test_decode_plane_identical_and_fast():
     conftest.print_table(
         "Decode plane: per-bucket reference vs scalar queue vs frontier peeling",
         ["sketch", "flows", "reference (s)", "queue (s)", "vectorized (s)",
-         "speedup", "ref/queue", "queue/frontier", "success"],
+         "batched (s)", "speedup", "ref/queue", "queue/frontier",
+         "alone/batched", "success"],
         [
             [
                 row["sketch"],
                 row["flows"],
-                f"{row['scalar_seconds']:.3f}",
+                cell(row, "scalar_seconds", "{:.3f}"),
                 cell(row, "queue_seconds", "{:.3f}"),
                 f"{row['vectorized_seconds']:.3f}",
-                f"{row['speedup']:.1f}x",
+                cell(row, "batched_seconds", "{:.3f}"),
+                cell(row, "speedup", "{:.1f}x"),
                 cell(row, "queue_speedup", "{:.1f}x"),
                 cell(row, "frontier_vs_queue", "{:.1f}x"),
+                cell(row, "alone_vs_batched", "{:.2f}x"),
                 row["decode_success"],
             ]
             for row in rows

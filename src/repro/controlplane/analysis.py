@@ -4,7 +4,9 @@ Every epoch the central controller collects, from each edge switch, the flow
 classifier, the upstream flow encoder (HH + HL + LL parts), and the downstream
 flow encoder (HL + LL parts).  This module implements the analysis pipeline:
 
-1. decode each switch's upstream HH encoder into its HH Flowset;
+1. decode each switch's upstream HH encoder into its HH Flowset — the
+   switches' HH parts share their hashes, prime and size, so one batch
+   decode (:func:`~repro.sketches.fermat.decode_many`) peels them together;
 2. add up the HL (and LL) encoders of all switches, upstream and downstream
    separately, re-insert the HH Flowsets into the cumulative upstream HL
    encoder, and subtract downstream from upstream;
@@ -26,7 +28,7 @@ from ..dataplane.encoder import accumulate_parts
 from ..dataplane.switch import SketchGroup
 from ..obs.tracing import NULL_TRACER
 from ..sketches.base import DecodeResult
-from ..sketches.fermat import FermatSketch
+from ..sketches.fermat import FermatSketch, decode_many
 from ..sketches.linear_counting import estimate_flows_per_bucket_array
 
 SwitchId = object
@@ -77,22 +79,38 @@ def decode_hh_encoders(
 ) -> Dict[SwitchId, HHDecode]:
     """Decode every switch's upstream HH encoder into its HH Flowset.
 
+    Every switch's HH part shares its hashes, prime and size, so all of them
+    are decoded by one :func:`~repro.sketches.fermat.decode_many` call.  On
+    the 61-bit prime they peel in one frontier over the stacked parts, and a
+    part still holding buckets when the stack stops finishes on its own
+    queue; wider primes decode each part on its own queue.  A switch's
+    flowset is the one decoding its part alone gives, possibly in another
+    order.
+
     ``destructive=True`` decodes each encoder in place instead of copying it
     first — the fast path when the caller owns throwaway collected groups
     (the controller's per-epoch analysis, the streaming engine).  The decode
     results are identical either way; only the encoder's residual state
     differs (drained instead of intact).
     """
+    parts = {
+        switch_id: group.upstream.parts.hh
+        for switch_id, group in groups.items()
+        if group.upstream.parts.hh is not None
+    }
+    sketches = list(parts.values())
+    if not destructive:
+        sketches = [hh.copy() for hh in sketches]
+    decoded = dict(zip(parts, decode_many(sketches)))
     results: Dict[SwitchId, HHDecode] = {}
-    for switch_id, group in groups.items():
-        hh = group.upstream.parts.hh
-        if hh is None:
+    for switch_id in groups:
+        decode = decoded.get(switch_id)
+        if decode is None:
             results[switch_id] = HHDecode(flowset={}, success=True, num_candidates=0)
             continue
-        decoded = hh.decode() if destructive else hh.decode_nondestructive()
-        flows = decoded.positive_flows()
+        flows = decode.positive_flows()
         results[switch_id] = HHDecode(
-            flowset=flows, success=decoded.success, num_candidates=len(flows)
+            flowset=flows, success=decode.success, num_candidates=len(flows)
         )
     return results
 

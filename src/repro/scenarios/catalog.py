@@ -338,6 +338,8 @@ def _fig10_success_rate(
 
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if buckets_per_flow <= 0:
+        raise ValueError("buckets_per_flow must be positive")
     successes = 0
     per_array = max(1, int(num_flows * buckets_per_flow / 3))
     for trial in range(trials):

@@ -15,9 +15,13 @@ that holds a single flow recoverable: if bucket ``B`` is *pure* then
 The decoders compute ``count^(-1)`` by extended Euclid (``pow(count, -1, p)``),
 which for a prime ``p`` is the same residue as ``count^(p-2)``.  There are two
 decoders: the scalar queue (:meth:`FermatSketch.decode_scalar`), which decodes
-every prime, and the NumPy frontier (:meth:`FermatSketch.decode_vectorized`,
-the default), which peels Mersenne primes below ``2**62`` (uint64 residues) a
-round at a time and hands its tail, and every other prime, to the queue.
+every prime, and the NumPy frontier (:func:`decode_many`), which peels Mersenne
+primes below ``2**62`` (uint64 residues) a round at a time and hands its tail,
+and every other prime, to the queue.  The one frontier decodes one sketch
+(:meth:`FermatSketch.decode_vectorized`, the default) or many compatible
+sketches at once, stacked at ``owner * m + bucket`` as the batch encoder
+:func:`insert_scattered` encodes them: the controller decodes every switch's
+HH encoder in one call.
 
 The sketch is
 
@@ -93,7 +97,15 @@ DEFAULT_BUCKET_BYTES = 8
 
 
 def _merge_flows(flows: Dict[int, int], items: Iterable[Tuple[int, int]]) -> None:
-    """Accumulate (flow, count) pairs into ``flows``, dropping zero totals."""
+    """Accumulate (flow, count) pairs into ``flows``, dropping zero totals.
+
+    ``items`` holds each flow at most once and with a non-zero count (one
+    frontier round's peels of one sketch, or a queue decode's flows), so an
+    empty ``flows`` takes them as they come.
+    """
+    if not flows:
+        flows.update(items)
+        return
     for flow_id, count in items:
         merged = flows.get(flow_id, 0) + count
         if merged:
@@ -519,17 +531,19 @@ class FermatSketch(InvertibleSketch):
     def decode_vectorized(self, max_iterations: Optional[int] = None) -> DecodeResult:
         """Frontier-based NumPy peeling — same results as :meth:`decode_scalar`.
 
-        For Mersenne primes below ``2**62`` (uint64 residues), each round (1)
-        collects every candidate bucket at once, (2) recovers the extended
-        IDs of the whole frontier in batch — ``count^(-1) mod p`` by extended
-        Euclid on unique counts — (3) verifies rehash and fingerprint with the
-        vectorized hash path, and (4) subtracts all verified peels with
-        duplicate-safe scatters.  Rounds repeat until no bucket verifies; a
-        frontier of at most :data:`SCALAR_TAIL_BUCKETS` candidates is handed
-        to the scalar queue decoder (per-round NumPy overhead would
-        dominate).  Every other prime runs on the scalar queue entirely: on
-        the wide primes' object-dtype residues a frontier round is no faster
-        than the queue, so their flows come back in the queue's order.
+        The one-sketch case of :func:`decode_many`, the one frontier, which
+        peels one sketch or many stacked together.  For Mersenne primes below
+        ``2**62`` (uint64 residues), each round (1) collects every candidate
+        bucket at once, (2) recovers the extended IDs of the whole frontier in
+        batch — ``count^(-1) mod p`` by extended Euclid on unique counts — (3)
+        verifies rehash and fingerprint with the vectorized hash path, and (4)
+        subtracts all verified peels with duplicate-safe scatters.  Rounds
+        repeat until no bucket verifies; a frontier of at most
+        :data:`SCALAR_TAIL_BUCKETS` candidates is handed to the scalar queue
+        decoder (per-round NumPy overhead would dominate).  Every other prime
+        runs on the scalar queue entirely: on the wide primes' object-dtype
+        residues a frontier round is no faster than the queue, so their flows
+        come back in the queue's order.
 
         Caveat: on a *fingerprintless* sketch loaded beyond the peeling
         threshold, rehash-only pure-bucket verification admits rare false
@@ -539,120 +553,7 @@ class FermatSketch(InvertibleSketch):
         Fingerprints (appendix A.4) suppress those false positives, and on
         decodable states every schedule recovers the same true flow set.
         """
-        p = self.params.prime
-        exponent = mersenne_exponent(p)
-        if exponent is None or exponent > 61:
-            return self.decode_scalar(max_iterations)
-        limit = (
-            max_iterations
-            if max_iterations is not None
-            else DECODE_POPS_PER_BUCKET * self.total_buckets()
-        )
-        flows: Dict[int, int] = {}
-        # Count values repeat heavily within and across rounds (loss counts
-        # are small integers), so Fermat inverses are cached per decode.
-        inverse_cache: Dict[int, int] = {}
-        peels = 0
-        trickle_streak = 0
-
-        def finish_on_scalar_queue() -> DecodeResult:
-            tail = self.decode_scalar(max(limit - peels, 1))
-            _merge_flows(flows, tail.flows.items())
-            return DecodeResult(
-                flows=flows, success=tail.success, remaining=tail.remaining
-            )
-
-        while True:
-            candidates = [np.nonzero(counts % p != 0)[0] for counts in self._counts]
-            total = sum(int(j.size) for j in candidates)
-            if total == 0:
-                break
-            if total <= SCALAR_TAIL_BUCKETS or peels >= limit:
-                return finish_on_scalar_queue()
-            peeled = self._peel_frontier_u64(candidates, exponent, inverse_cache)
-            if not peeled:
-                break
-            _merge_flows(flows, peeled)
-            peels += len(peeled)
-            if len(peeled) * SCALAR_TAIL_PEEL_FRACTION < total:
-                trickle_streak += 1
-                if trickle_streak >= SCALAR_TAIL_TRICKLE_ROUNDS:
-                    # Sustained trickle: finish on the scalar queue decoder.
-                    return finish_on_scalar_queue()
-            else:
-                trickle_streak = 0
-        remaining = self.nonzero_buckets()
-        return DecodeResult(flows=flows, success=remaining == 0, remaining=remaining)
-
-    def _invert_counts_u64(self, unique: np.ndarray, cache: Dict[int, int]) -> np.ndarray:
-        """Inverses of unique count residues by extended Euclid, cached across rounds."""
-        p = self.params.prime
-        unique_list = unique.tolist()
-        cache.update((c, pow(c, -1, p)) for c in unique_list if c not in cache)
-        return np.fromiter(
-            (cache[c] for c in unique_list), dtype=np.uint64, count=len(unique_list)
-        )
-
-    def _peel_frontier_u64(
-        self, candidates: List[np.ndarray], exponent: int, cache: Dict[int, int]
-    ) -> List[Tuple[int, int]]:
-        """One frontier round for primes below ``2**62`` (uint64 residues)."""
-        p = self.params.prime
-        bits = self.params.fingerprint_bits
-        exts: List[np.ndarray] = []
-        raws: List[np.ndarray] = []
-        for i, j in enumerate(candidates):
-            if j.size == 0:
-                continue
-            raw = self._counts[i][j]
-            cmod = (raw % p).astype(np.uint64)
-            nonzero = cmod != 0  # counts that are non-zero multiples of p
-            if not nonzero.all():
-                j, raw, cmod = j[nonzero], raw[nonzero], cmod[nonzero]
-                if j.size == 0:
-                    continue
-            # Invert *unique* counts only: loss counts repeat heavily, so this
-            # collapses the inversion work per round.
-            unique, inverse_index = np.unique(cmod, return_inverse=True)
-            inverses = self._invert_counts_u64(unique, cache)[inverse_index]
-            ext = modmul_mersenne_u64(self._idsums[i][j], inverses, exponent)
-            # Pure-bucket verification: rehash plus optional fingerprint.
-            ok = self._hashes[i].hash_array(KeyArray(ext)) == j
-            if bits:
-                fp = self._fp_hash.hash_array(ext >> np.uint64(bits)).astype(np.uint64)
-                ok &= fp == (ext & np.uint64((1 << bits) - 1))
-            if ok.any():
-                exts.append(ext[ok])
-                raws.append(raw[ok])
-        if not exts:
-            return []
-        ext_all = np.concatenate(exts)
-        raw_all = np.concatenate(raws)
-        # The same flow can be pure in several buckets at once; peel it once
-        # (the scalar queue sees the later duplicates as already-empty).
-        _, first = np.unique(ext_all, return_index=True)
-        order = np.sort(first)
-        ext_u, count_u = ext_all[order], raw_all[order]
-        keys = KeyArray(ext_u)
-        delta = modmul_mersenne_u64(ext_u, (count_u % p).astype(np.uint64), exponent)
-        # Subtract as the congruent addition of (p - delta): uint64-safe.
-        neg = np.where(delta == 0, np.uint64(0), p - delta)
-        limb_mask = np.uint64(0xFFFFFFFF)
-        buckets = self.params.buckets_per_array
-        # Residues below 2**32 fit a single limb row (and the limb folder's
-        # two-row branch requires e >= 32).
-        limb_rows = 2 if exponent > 32 else 1
-        for i2, h in enumerate(self._hashes):
-            indices = h.hash_array(keys)
-            np.subtract.at(self._counts[i2], indices, count_u)
-            accumulator = np.zeros((limb_rows, buckets), dtype=np.uint64)
-            np.add.at(accumulator[0], indices, neg & limb_mask)
-            if limb_rows == 2:
-                np.add.at(accumulator[1], indices, neg >> np.uint64(32))
-            folded = fold_limb_sums_mod_mersenne(accumulator, exponent)
-            self._idsums[i2] = (self._idsums[i2] + folded) % p
-        flow_ids = (ext_u >> np.uint64(bits)) if bits else ext_u
-        return list(zip(flow_ids.tolist(), count_u.tolist()))
+        return decode_many([self], max_iterations)[0]
 
     def decode_nondestructive(self) -> DecodeResult:
         """Decode a copy, leaving this sketch untouched."""
@@ -751,6 +652,225 @@ def insert_scattered(
             for s in chunk:
                 row = merged[s * m - lo:(s + 1) * m - lo]
                 sketches[s]._idsums[i] = (sketches[s]._idsums[i] + row) % p
+
+
+def decode_many(
+    sketches: Sequence[FermatSketch], max_iterations: Optional[int] = None
+) -> List[DecodeResult]:
+    """Decode compatible FermatSketches in one frontier; one result per sketch.
+
+    The batch decoder of every FermatSketch, next to the batch encoder
+    :func:`insert_scattered`: :meth:`FermatSketch.decode_vectorized` is its
+    one-sketch case.  The sketches must share their parameters (hashes,
+    prime, geometry); otherwise it raises ``ValueError`` before any sketch
+    changes.  Each is decoded in place, so they must be distinct objects.
+
+    For a Mersenne prime below ``2**62``, array ``i`` of every sketch is
+    stacked into one row indexed by ``owner * m + bucket``, and each round
+    peels the whole stack's frontier: a candidate is pure when its recovered
+    ID rehashes to ``flat % m`` and its fingerprint checks, and a flow pure
+    in several buckets of one sketch is peeled once from that sketch.  The
+    stack stops on the one-sketch rules, counted over the whole stack: its
+    candidates fall to :data:`SCALAR_TAIL_BUCKETS`, it trickles for
+    :data:`SCALAR_TAIL_TRICKLE_ROUNDS` rounds in a row, or one sketch's peels
+    reach the pop budget (``max_iterations``, default
+    :data:`DECODE_POPS_PER_BUCKET` per bucket).  Every sketch that still
+    holds a candidate then finishes on its own :meth:`~FermatSketch.decode_scalar`
+    with the rest of its budget.  Every other prime decodes each sketch on
+    its own queue.  Per sketch, the recovered flow set, ``success``,
+    ``remaining`` and residual state are those of decoding it alone, though
+    the flows may come back in another order.  Only where the peel schedule
+    matters can they differ: a pop budget that stops a decode early, and
+    :meth:`FermatSketch.decode_vectorized`'s caveat.
+    """
+    sketches = list(sketches)
+    for other in sketches[1:]:
+        sketches[0]._require_compatible(other)
+    if not sketches:
+        return []
+    params = sketches[0].params
+    exponent = mersenne_exponent(params.prime)
+    if exponent is None or exponent > 61:
+        return [sketch.decode_scalar(max_iterations) for sketch in sketches]
+    limit = (
+        max_iterations
+        if max_iterations is not None
+        else DECODE_POPS_PER_BUCKET * params.total_buckets()
+    )
+    p, m = params.prime, params.buckets_per_array
+    num = len(sketches)
+    if num == 1:
+        counts, idsums = sketches[0]._counts, sketches[0]._idsums
+    else:
+        counts = [np.concatenate(rows) for rows in zip(*(s._counts for s in sketches))]
+        idsums = [np.concatenate(rows) for rows in zip(*(s._idsums for s in sketches))]
+    flows: List[Dict[int, int]] = [{} for _ in sketches]
+    # Count values repeat heavily within and across rounds (loss counts are
+    # small integers), so Fermat inverses are cached per decode.
+    inverse_cache: Dict[int, int] = {}
+    peels = np.zeros(num, dtype=np.int64)
+    trickle_streak = 0
+    queued = set()  # the sketches that finish on their own queues
+    while True:
+        candidates = []
+        for row in counts:
+            flat = np.flatnonzero(row)
+            candidates.append(flat[row[flat] % p != 0])
+        total = sum(int(flat.size) for flat in candidates)
+        if total == 0:
+            break
+        if (
+            total <= SCALAR_TAIL_BUCKETS
+            or peels.max() >= limit
+            or trickle_streak >= SCALAR_TAIL_TRICKLE_ROUNDS
+        ):
+            queued = set((np.concatenate(candidates) // m).tolist())
+            break
+        owners, flow_ids, sizes = _peel_frontier_u64(
+            sketches[0], counts, idsums, candidates, exponent, inverse_cache
+        )
+        if not sizes.size:
+            break
+        # The peels come grouped by owner, each group in frontier order.
+        per_owner = np.bincount(owners, minlength=num)
+        peels += per_owner
+        ids_list, sizes_list = flow_ids.tolist(), sizes.tolist()
+        start = 0
+        for s, stop in enumerate(np.cumsum(per_owner).tolist()):
+            if stop > start:
+                _merge_flows(flows[s], zip(ids_list[start:stop], sizes_list[start:stop]))
+            start = stop
+        trickling = len(ids_list) * SCALAR_TAIL_PEEL_FRACTION < total
+        trickle_streak = trickle_streak + 1 if trickling else 0
+    if num > 1:
+        for s, sketch in enumerate(sketches):
+            for row, stacked in zip(sketch._counts, counts):
+                row[:] = stacked[s * m:(s + 1) * m]
+            for row, stacked in zip(sketch._idsums, idsums):
+                row[:] = stacked[s * m:(s + 1) * m]
+    results = []
+    for s, sketch in enumerate(sketches):
+        if s in queued:
+            rest = sketch.decode_scalar(max(limit - int(peels[s]), 1))
+            _merge_flows(flows[s], rest.flows.items())
+            results.append(
+                DecodeResult(flows=flows[s], success=rest.success, remaining=rest.remaining)
+            )
+        else:
+            remaining = sketch.nonzero_buckets()
+            results.append(
+                DecodeResult(flows=flows[s], success=remaining == 0, remaining=remaining)
+            )
+    return results
+
+
+def _invert_counts_u64(unique: np.ndarray, p: int, cache: Dict[int, int]) -> np.ndarray:
+    """Inverses of unique count residues by extended Euclid, cached across rounds."""
+    unique_list = unique.tolist()
+    cache.update((c, pow(c, -1, p)) for c in unique_list if c not in cache)
+    return np.fromiter(
+        (cache[c] for c in unique_list), dtype=np.uint64, count=len(unique_list)
+    )
+
+
+def _peel_frontier_u64(
+    sketch: FermatSketch,
+    counts: List[np.ndarray],
+    idsums: List[np.ndarray],
+    candidates: List[np.ndarray],
+    exponent: int,
+    cache: Dict[int, int],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One frontier round over stacked rows (uint64 residues, primes below ``2**62``).
+
+    ``counts[i]``/``idsums[i]`` stack array ``i`` of sketches sharing
+    ``sketch``'s parameters at ``owner * m + bucket``, and ``candidates[i]``
+    are the flat positions of its candidate buckets.  Peels in place and
+    returns the peeled ``(owner, flow ID, count)`` columns, sorted by owner
+    and in frontier order within an owner.
+    """
+    p = sketch.params.prime
+    bits = sketch.params.fingerprint_bits
+    m = sketch.params.buckets_per_array
+    owner_all, ext_all, raw_all = _rehashed_candidates_u64(
+        sketch, counts, idsums, candidates, exponent, cache
+    )
+    # The same flow can be pure in several buckets of one sketch at once;
+    # peel it once per sketch (the scalar queue sees the later duplicates as
+    # already-empty).  A stable sort on (ext, owner) puts each pair's first
+    # candidate first; the peels then go out grouped by owner, each group in
+    # frontier order.
+    by_pair = np.lexsort((owner_all, ext_all))
+    first = np.ones(by_pair.size, dtype=bool)
+    ext_s, owner_s = ext_all[by_pair], owner_all[by_pair]
+    first[1:] = (ext_s[1:] != ext_s[:-1]) | (owner_s[1:] != owner_s[:-1])
+    order = by_pair[first]
+    order = order[np.lexsort((order, owner_all[order]))]
+    ext_u, count_u, owner_u = ext_all[order], raw_all[order], owner_all[order]
+    if bits:
+        # A fingerprint depends on the extended ID alone, so one check per
+        # (flow, owner) pair verifies all of the pair's candidates.
+        fp = sketch._fp_hash.hash_array(ext_u >> np.uint64(bits)).astype(np.uint64)
+        ok = fp == (ext_u & np.uint64((1 << bits) - 1))
+        ext_u, count_u, owner_u = ext_u[ok], count_u[ok], owner_u[ok]
+    keys = KeyArray(ext_u)
+    delta = modmul_mersenne_u64(ext_u, (count_u % p).astype(np.uint64), exponent)
+    # Subtract as the congruent addition of (p - delta): uint64-safe.
+    neg = np.where(delta == 0, np.uint64(0), p - delta)
+    limbs = [neg & np.uint64(0xFFFFFFFF)]
+    if exponent > 32:
+        # Residues below 2**32 fit a single limb row (and the limb folder's
+        # two-row branch requires e >= 32).
+        limbs.append(neg >> np.uint64(32))
+    base = owner_u * m
+    for i, h in enumerate(sketch._hashes):
+        flat = base + h.hash_array(keys)
+        np.subtract.at(counts[i], flat, count_u)
+        # Fold the IDsum limb sums of the touched buckets only.
+        touched, slot = np.unique(flat, return_inverse=True)
+        accumulator = np.zeros((len(limbs), touched.size), dtype=np.uint64)
+        for row, limb in zip(accumulator, limbs):
+            np.add.at(row, slot, limb)
+        folded = fold_limb_sums_mod_mersenne(accumulator, exponent)
+        idsums[i][touched] = (idsums[i][touched] + folded) % p
+    flow_ids = (ext_u >> np.uint64(bits)) if bits else ext_u
+    return owner_u, flow_ids, count_u
+
+
+def _rehashed_candidates_u64(
+    sketch: FermatSketch,
+    counts: List[np.ndarray],
+    idsums: List[np.ndarray],
+    candidates: List[np.ndarray],
+    exponent: int,
+    cache: Dict[int, int],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The candidates of a frontier round whose recovered ID rehashes home.
+
+    Returns their ``(owner, extended ID, count)`` columns in frontier order;
+    the frontier-wide temporaries die here, before the peel's scatters run.
+    """
+    p = sketch.params.prime
+    m = sketch.params.buckets_per_array
+    flat = np.concatenate(candidates)
+    raw = np.concatenate([row[j] for row, j in zip(counts, candidates)])
+    # Invert *unique* counts only: loss counts repeat heavily, and a flow's
+    # count sits in each of its buckets, so this collapses the inversion work.
+    unique, inverse_index = np.unique((raw % p).astype(np.uint64), return_inverse=True)
+    inverses = _invert_counts_u64(unique, p, cache)[inverse_index]
+    idsum = np.concatenate([row[j] for row, j in zip(idsums, candidates)])
+    ext = modmul_mersenne_u64(idsum, inverses, exponent)
+    # Pure-bucket verification, array by array (the fingerprint is checked
+    # after the per-sketch deduplication).
+    bucket = flat % m
+    ok = np.empty(flat.size, dtype=bool)
+    start = 0
+    for h, j in zip(sketch._hashes, candidates):
+        stop = start + j.size
+        if j.size:
+            ok[start:stop] = h.hash_array(KeyArray(ext[start:stop])) == bucket[start:stop]
+        start = stop
+    return flat[ok] // m, ext[ok], raw[ok]
 
 
 def minimum_memory_for_flows(

@@ -63,12 +63,16 @@ def estimate_flow_size_distribution(
         observed counter value).
     iterations:
         EM iterations; a handful suffices for the shapes evaluated here.
+        Must be non-negative (0 returns the initial one-flow-per-counter
+        guess); a negative count raises ``ValueError``.
     saturation:
         Counter values at or above this are treated as saturated and skipped
         (their contribution comes from the HH Flowset in ChameleMon).
 
     Every returned size is an observed counter value; keys ascend.
     """
+    if iterations < 0:
+        raise ValueError("iterations must be non-negative")
     num_slots = len(counters)
     if num_slots == 0:
         return {}
@@ -91,7 +95,7 @@ def estimate_flow_size_distribution(
     i, j = np.divmod(pairs, sizes.size)
     k = pair_k[pairs]
 
-    for _ in range(max(0, iterations)):
+    for _ in range(iterations):
         # E-step: a counter of value v holds one flow of size v (probability
         # p0 of no collision) or flows of sizes s and v - s, weighted by the
         # collision probability for lambda = flows / slots.  Splitting each

@@ -209,6 +209,15 @@ class TestMRAC:
         assert estimate_flow_size_distribution([]) == {}
         assert estimate_flow_size_distribution([0, 0, 0]) == {}
 
+    def test_negative_iterations_rejected(self):
+        for counters in ([3, 1, 2, 1, 0, 7], []):
+            with pytest.raises(ValueError, match="iterations must be non-negative"):
+                estimate_flow_size_distribution(counters, iterations=-1)
+        # Zero iterations is the initial guess: one flow per counter value.
+        assert estimate_flow_size_distribution([3, 1, 2, 1, 0, 7], iterations=0) == {
+            1: 2.0, 2: 1.0, 3: 1.0, 7: 1.0,
+        }
+
     @settings(max_examples=150, deadline=None)
     @given(case=mrac_inputs())
     @example(case=([5, 0, 5, 300, 1000, 255, 300], 299, 3, 255))

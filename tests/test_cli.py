@@ -124,6 +124,9 @@ class TestRegistryCommands:
         ("fig4", "flows=0", "num_flows must be positive"),
         ("fig4", "trials=0", "trials must be at least 1"),
         ("fig10", "trials=0", "trials must be at least 1"),
+        ("fig10", "buckets_per_flow=0", "buckets_per_flow must be positive"),
+        ("fig10", "buckets_per_flow=-1", "buckets_per_flow must be positive"),
+        ("fig11", "distribution_iterations=-1", "iterations must be non-negative"),
         ("ablation_fermat", "trials=0", "trials and decode_trials must be at least 1"),
         ("ablation_fermat", "decode_trials=0", "trials and decode_trials must be at least 1"),
         ("fig7", "max_epochs=0", "max_epochs must be at least 1"),

@@ -12,8 +12,10 @@ in use (13/61/89/127-bit Mersenne plus a non-Mersenne prime).  The 89/127-bit
 primes decode on the scalar queue alone, as non-Mersenne primes do, so for
 them ``decode()`` must match the reference outright, flow order included.  A
 golden digest pins the decoders' output on a fixed set of sketches to a
-committed value.  FlowRadar and LossRadar decoders are checked
-against their own scalar references.
+committed value.  The batch decoder ``decode_many``, which peels many
+compatible sketches in one frontier, must give each sketch what decoding it
+alone gives.  FlowRadar and LossRadar decoders are checked against their own
+scalar references.
 """
 
 import functools
@@ -26,12 +28,14 @@ import numpy as np
 import pytest
 
 from fermat_reference import reference_decode_scalar
-from repro.controlplane.analysis import packet_loss_detection
+from repro.controlplane.analysis import decode_hh_encoders, packet_loss_detection
 from repro.sketches.fermat import (
+    DECODE_POPS_PER_BUCKET,
     MERSENNE_PRIME_61,
     MERSENNE_PRIME_89,
     MERSENNE_PRIME_127,
     FermatSketch,
+    decode_many,
 )
 from repro.sketches.flowradar import FlowRadar
 from repro.sketches.hashing import modmul_mersenne_u64
@@ -58,6 +62,13 @@ def decode_outcome(result, sketch):
         "flows": [[int(k), int(v)] for k, v in result.flows.items()],
         "success": bool(result.success),
         "remaining": int(result.remaining),
+        **sketch_state(sketch),
+    }
+
+
+def sketch_state(sketch):
+    """A sketch's bucket state, with each row's dtype, as plain Python values."""
+    return {
         "counts": [
             [str(row.dtype), row.tolist()] for row in sketch._counts
         ],
@@ -156,11 +167,19 @@ def loaded_sketch(prime, bits, id_bits, num_flows, max_size, seed=0):
     return sketch, flows
 
 
-def subtracted_pair(prime, bits, num_flows=250, seed=31):
-    """``up - down`` with losses and, for a few flows, extra downstream packets."""
+def subtracted_pair(prime, bits, num_flows=250, seed=31, hash_seed=None):
+    """``up - down`` with losses and, for a few flows, extra downstream packets.
+
+    ``hash_seed`` (default ``seed``) seeds the sketch's hashes, ``seed`` the
+    flows and their losses.
+    """
     flows = make_flows(num_flows, seed=seed, id_bits=min(52, prime.bit_length() - 1 - bits))
     up = FermatSketch.for_flow_count(
-        num_flows, load_factor=0.5, seed=seed, prime=prime, fingerprint_bits=bits
+        num_flows,
+        load_factor=0.5,
+        seed=seed if hash_seed is None else hash_seed,
+        prime=prime,
+        fingerprint_bits=bits,
     )
     down = up.empty_like()
     rng = random.Random(seed)
@@ -403,6 +422,169 @@ def test_golden_decode_digest():
 
 
 # --------------------------------------------------------------------------- #
+# decode_many: one frontier over many sketches
+# --------------------------------------------------------------------------- #
+def fabric_hh_parts(fingerprint_bits=20, num_parts=32, seed=7):
+    """HH parts shaped like the k=8 fabric's: one hash seed, 717 buckets per
+    array on the 61-bit prime, 116-202 uint64 flows each."""
+    parts = []
+    for k in range(num_parts):
+        flows = make_flows(
+            116 + 37 * k % 87, seed=1000 + k, max_size=3000, id_bits=60 - fingerprint_bits
+        )
+        part = FermatSketch(
+            717, prime=MERSENNE_PRIME_61, seed=seed, fingerprint_bits=fingerprint_bits
+        )
+        part.insert_batch(list(flows), list(flows.values()))
+        parts.append(part)
+    return parts
+
+
+def batch_outcomes(sketches):
+    """Each sketch's :func:`decode_outcome` from one ``decode_many`` call on copies."""
+    copies = [sketch.copy() for sketch in sketches]
+    return [decode_outcome(r, s) for r, s in zip(decode_many(copies), copies)]
+
+
+def unordered(outcome):
+    return dict(outcome, flows=sorted(outcome["flows"]))
+
+
+def assert_batch_matches_alone(sketches, schedule_dependent=()):
+    """``decode_many`` gives every sketch what decoding it alone gives.
+
+    The recovered flow set, ``success``, ``remaining`` and residual state must
+    match ``decode()`` on the sketch alone; on primes above ``2**61 - 1``,
+    which decode on per-sketch queues, the flow order must match too.  The
+    sketches at ``schedule_dependent`` (overloaded and fingerprintless, see
+    ``decode_vectorized``'s caveat) must fail either way, but the garbage
+    they recover may differ.  Every result must also be the same with
+    :func:`reference_decode_scalar` as each sketch's queue tail, patched on
+    the instance as the per-sketch checks above do.
+    """
+    got = batch_outcomes(sketches)
+    alone = []
+    for sketch in sketches:
+        copy = sketch.copy()
+        alone.append(decode_outcome(copy.decode(), copy))
+    for k, (mine, theirs) in enumerate(zip(got, alone)):
+        if k in schedule_dependent:
+            assert not mine["success"] and not theirs["success"]
+        elif sketches[0].prime > MERSENNE_PRIME_61:
+            assert mine == theirs
+        else:
+            assert unordered(mine) == unordered(theirs)
+    references = [sketch.copy() for sketch in sketches]
+    for reference in references:
+        reference.decode_scalar = functools.partial(reference_decode_scalar, reference)
+    results = decode_many(references)
+    assert [decode_outcome(r, s) for r, s in zip(results, references)] == got
+    return got
+
+
+class TestDecodeMany:
+    def test_fabric_hh_stack(self):
+        parts = fabric_hh_parts()
+        got = assert_batch_matches_alone(parts)
+        assert all(outcome["success"] for outcome in got)
+        # A stack that starts well above the queue cutoff runs frontier rounds.
+        assert sum(part.nonzero_buckets() for part in parts) > 20 * 512
+
+    def test_queue_tails_get_the_rest_of_the_budget(self):
+        parts = fabric_hh_parts()
+        limit = DECODE_POPS_PER_BUCKET * parts[0].total_buckets()
+        tails = {}
+        for k, part in enumerate(parts):
+            def tail(max_iterations=None, k=k, part=part):
+                result = FermatSketch.decode_scalar(part, max_iterations)
+                tails[k] = (max_iterations, len(result.flows))
+                return result
+            part.decode_scalar = tail
+        results = decode_many(parts)
+        # The stack stops at the queue cutoff: the parts still holding
+        # candidates finish on their own queues, the others are drained.
+        assert 0 < len(tails) < len(parts)
+        for k, result in enumerate(results):
+            assert result.success
+            if k in tails:
+                budget, tail_flows = tails[k]
+                assert budget == limit - (len(result.flows) - tail_flows)
+
+    def test_empty_and_overloaded_sketches_mixed_in(self):
+        parts = fabric_hh_parts(fingerprint_bits=0)
+        parts.insert(5, parts[0].empty_like())
+        # 1870 flows at 1.15 buckets/flow, no fingerprints: garbage peels.
+        flows = make_flows(1870, seed=44, id_bits=60)
+        overloaded = parts[0].empty_like()
+        overloaded.insert_batch(list(flows), list(flows.values()))
+        parts.insert(17, overloaded)
+        got = assert_batch_matches_alone(parts, schedule_dependent={17})
+        assert got[5]["flows"] == []
+        assert [k for k, outcome in enumerate(got) if not outcome["success"]] == [17]
+
+    @pytest.mark.parametrize(
+        "prime", [MERSENNE_PRIME_61, MERSENNE_PRIME_127], ids=["p61", "p127"]
+    )
+    @pytest.mark.parametrize("fingerprint_bits", [0, 8])
+    def test_subtracted_pairs_with_negative_counts(self, prime, fingerprint_bits):
+        deltas = [
+            subtracted_pair(prime, fingerprint_bits, seed=60 + k, hash_seed=60)
+            for k in range(8)
+        ]
+        assert all(any((row < 0).any() for row in delta._counts) for delta in deltas)
+        got = assert_batch_matches_alone(deltas)
+        assert any(count < 0 for _, count in got[0]["flows"])
+
+    def test_one_flow_in_several_sketches(self):
+        parts = fabric_hh_parts()
+        shared = (1 << 39) + 12345
+        for k, size in ((0, 7), (9, 4000), (31, 25)):
+            parts[k].insert(shared, size)
+        got = assert_batch_matches_alone(parts)
+        for k, size in ((0, 7), (9, 4000), (31, 25)):
+            assert [shared, size] in got[k]["flows"]
+        # A sketch's decode does not depend on the others or their order,
+        # flow order included: a flow pure in several sketches in one round
+        # is peeled from each.
+        assert batch_outcomes(parts[::-1]) == got[::-1]
+
+    def test_wide_prime_parts_keep_queue_order(self):
+        parts = []
+        for k in range(4):
+            flows = make_flows(100, seed=200 + k, max_size=3000, id_bits=104)
+            part = FermatSketch(179, prime=MERSENNE_PRIME_127, seed=200)
+            part.insert_batch(list(flows), list(flows.values()))
+            parts.append(part)
+        got = assert_batch_matches_alone(parts)
+        for part, outcome in zip(parts, got):
+            want = reference_decode_scalar(part.copy())
+            assert outcome["flows"] == [[k, v] for k, v in want.flows.items()]
+
+    def test_no_sketches(self):
+        assert decode_many([]) == []
+
+    @pytest.mark.parametrize(
+        "odd",
+        [
+            FermatSketch(717, prime=MERSENNE_PRIME_61, seed=8, fingerprint_bits=20),
+            FermatSketch(716, prime=MERSENNE_PRIME_61, seed=7, fingerprint_bits=20),
+            FermatSketch(717, prime=MERSENNE_PRIME_61, seed=7, fingerprint_bits=8),
+            FermatSketch(717, prime=MERSENNE_PRIME_127, seed=7, fingerprint_bits=20),
+        ],
+        ids=["seed", "buckets", "fingerprint", "prime"],
+    )
+    def test_incompatible_sketches_rejected_unchanged(self, odd):
+        odd = odd.copy()
+        odd.insert(5, 3)
+        parts = fabric_hh_parts(num_parts=4)
+        stack = parts[:2] + [odd] + parts[2:]
+        before = [sketch_state(sketch) for sketch in stack]
+        with pytest.raises(ValueError, match="must share"):
+            decode_many(stack)
+        assert [sketch_state(sketch) for sketch in stack] == before
+
+
+# --------------------------------------------------------------------------- #
 # FlowRadar / LossRadar: vectorized vs scalar reference
 # --------------------------------------------------------------------------- #
 class TestFlowRadarDecodePlane:
@@ -511,13 +693,20 @@ class TestLossRadarDecodePlane:
 # --------------------------------------------------------------------------- #
 # control-plane analysis: destructive fast path
 # --------------------------------------------------------------------------- #
-def _collect_groups(seed=3, num_flows=300, config=None):
+def _collect_groups(seed=3, num_flows=300, config=None, fabric=False):
+    """One epoch's collected groups on the testbed (104-bit IDs, 127-bit
+    prime) or, with ``fabric``, on the k=8 fat-tree (uint64 IDs, 61-bit prime)."""
     from repro.dataplane.config import SwitchResources
     from repro.network.simulator import build_testbed_simulator
+    from repro.network.topology import FatTreeSpec, FatTreeTopology
     from repro.traffic.generator import generate_workload
 
     simulator = build_testbed_simulator(
-        resources=SwitchResources.scaled(0.05), config=config, seed=seed
+        resources=SwitchResources.scaled(0.2 if fabric else 0.05),
+        config=config,
+        seed=seed,
+        prime=MERSENNE_PRIME_61 if fabric else None,
+        topology=FatTreeTopology(FatTreeSpec(k=8)) if fabric else None,
     )
     trace = generate_workload(
         "DCTCP",
@@ -526,6 +715,7 @@ def _collect_groups(seed=3, num_flows=300, config=None):
         loss_rate=0.05,
         num_hosts=simulator.topology.num_hosts,
         seed=seed,
+        use_five_tuple=not fabric,
     )
     truth = simulator.run_epoch(trace)
     groups = {node: switch.end_epoch() for node, switch in simulator.switches.items()}
@@ -554,6 +744,27 @@ class TestDestructiveAnalysis:
         # A second pass over the same groups must reproduce the same result.
         again = packet_loss_detection(groups, destructive=False)
         assert again.analysis_completed
+
+    @pytest.mark.parametrize("fabric", [False, True], ids=["testbed", "fabric"])
+    def test_hh_decode_is_per_switch_decode(self, fabric):
+        groups, _ = _collect_groups(num_flows=5000 if fabric else 300, fabric=fabric)
+        parts = {node: group.upstream.parts.hh for node, group in groups.items()}
+        before = {node: sketch_state(part) for node, part in parts.items()}
+        decodes = decode_hh_encoders(groups)
+        # Non-destructive: every switch's HH part keeps its state.
+        assert {node: sketch_state(part) for node, part in parts.items()} == before
+        for node, part in parts.items():
+            alone = part.decode_nondestructive()
+            assert decodes[node].flowset == alone.positive_flows()
+            assert decodes[node].success == alone.success
+        if fabric:
+            # The fabric's parts peel in one frontier before their queue tails.
+            assert sum(part.nonzero_buckets() for part in parts.values()) > 20 * 512
+        in_place = decode_hh_encoders(groups, destructive=True)
+        assert {node: d.flowset for node, d in in_place.items()} == {
+            node: d.flowset for node, d in decodes.items()
+        }
+        assert all(part.nonzero_buckets() == 0 for part in parts.values())
 
     def test_decode_stages_are_spans(self):
         from repro.dataplane.config import EncoderLayout, MonitoringConfig, SwitchResources
